@@ -20,14 +20,11 @@ from .baseline import (
     training_cost_rc,
 )
 from .features import (
-    DelayWindow,
     FeatureSpec,
     WarmupError,
-    delay_window,
     feature_block,
     feature_length,
     feature_names,
-    linear_features,
     monomial_exponent_table,
     total_features,
 )
@@ -38,7 +35,6 @@ from .model import (
     from_document,
     infer,
     load_model,
-    one_step_prediction,
     save_model,
     to_document,
     train_forecaster,
@@ -48,7 +44,6 @@ from .regression import (
     ReadoutMatrix,
     SingularSystemError,
     TrainingBlock,
-    readout_apply,
     ridge_fit,
 )
 from .systems import (
@@ -83,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostParams",
-    "DelayWindow",
     "FeatureSpec",
     "IntegrationConfig",
     "IntegrationError",
@@ -102,7 +96,6 @@ __all__ = [
     "UssReport",
     "WarmupError",
     "build_reservoir",
-    "delay_window",
     "double_scroll",
     "estimate_cost",
     "estimate_model_uss",
@@ -117,16 +110,13 @@ __all__ = [
     "instantaneous_nrmse",
     "integrate",
     "integrate_noisy",
-    "linear_features",
     "load_model",
     "lorenz63",
     "lorenz_uss",
     "monomial_exponent_table",
     "nrmse",
     "on_attractor_state",
-    "one_step_prediction",
     "quadratic_readout_features",
-    "readout_apply",
     "reservoir_run",
     "return_map_deviation",
     "ridge_fit",

@@ -254,8 +254,6 @@ def _check_value(key, value, default, errors):
             errors.append(f"{key}: expected a list, got {value!r}")
             return None
 
-    if key in ("alpha", "bias", "constant_value", "noise_rms"):
-        pass
     if key == "alpha" and value < 0:
         errors.append(f"{key}: must be nonnegative, got {value}")
         return None
@@ -374,6 +372,14 @@ def _integration_config(config: ExperimentConfig, x0, n_samples: int,
     )
 
 
+def _ground_truth(config: ExperimentConfig, system: SystemDef, n_samples: int,
+                  method: str = "RK23") -> TimeSeries:
+    """n_samples of a trajectory starting on the attractor after the transient."""
+    x0 = on_attractor_state(system, config["transient_time"], rtol=config["rtol"],
+                            atol=config["atol"], method=method)
+    return integrate(system, _integration_config(config, x0, n_samples, method=method))
+
+
 def _ranked_readout(model: NgrcModel, components: list[str]) -> list[dict]:
     """All readout entries sorted by |weight| descending, with labels."""
     obs_names = [components[i] for i in model.input_indices]
@@ -406,11 +412,9 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
     uss_segments = config["uss_segments"]
 
     with _stage("integrate ground truth"):
-        x0 = on_attractor_state(system, config["transient_time"],
-                                rtol=config["rtol"], atol=config["atol"])
         n_mother = max(train_points + max(n_test, n_return),
                        uss_segments * train_points + n_test) + 1
-        mother = integrate(system, _integration_config(config, x0, n_mother))
+        mother = _ground_truth(config, system, n_mother)
     scaling = ScalingVector.from_series(mother)
 
     with _stage("train"):
@@ -525,10 +529,7 @@ def _run_infer(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
     train_points, test_points = config["train_points"], config["test_points"]
 
     with _stage("integrate ground truth"):
-        x0 = on_attractor_state(system, config["transient_time"],
-                                rtol=config["rtol"], atol=config["atol"])
-        mother = integrate(system, _integration_config(config, x0,
-                                                       train_points + test_points))
+        mother = _ground_truth(config, system, train_points + test_points)
     scaling = ScalingVector.from_series(mother)
     target_scaling = ScalingVector(scaling.values[[target]])
 
@@ -576,10 +577,7 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
     stride = max(sizes) + n_horizon
 
     with _stage("integrate ground truth"):
-        x0 = on_attractor_state(system, config["transient_time"],
-                                rtol=config["rtol"], atol=config["atol"])
-        mother = integrate(system, _integration_config(config, x0,
-                                                       segments * stride + 1))
+        mother = _ground_truth(config, system, segments * stride + 1)
     scaling = ScalingVector.from_series(mother)
 
     rows = []
@@ -622,11 +620,10 @@ def _run_noise(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
     n_horizon = _horizon_steps(config, system, "rmse_horizon")
 
     with _stage("reference trajectory"):
-        x0 = on_attractor_state(system, config["transient_time"], rtol=config["rtol"],
-                                atol=config["atol"], method=_TIGHT_METHOD)
-        reference = integrate(system, _integration_config(config, x0, 10001,
-                                                          method=_TIGHT_METHOD))
+        reference = _ground_truth(config, system, 10001, method=_TIGHT_METHOD)
     scaling = ScalingVector.from_series(reference)
+    # The reference's first sample is the on-attractor state itself.
+    x0 = reference.values[0]
 
     scaled_rmses, raw_rmses, noisy_stds = [], [], []
     first_files: list[str] = []
@@ -743,10 +740,8 @@ def _run_baseline(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
     train_points, warmup_points = config["train_points"], config["warmup_points"]
 
     with _stage("integrate ground truth"):
-        x0 = on_attractor_state(system, config["transient_time"], rtol=config["rtol"],
-                                atol=config["atol"], method=_TIGHT_METHOD)
-        series = integrate(system, _integration_config(
-            config, x0, warmup_points + train_points + 1, method=_TIGHT_METHOD))
+        series = _ground_truth(config, system, warmup_points + train_points + 1,
+                               method=_TIGHT_METHOD)
     scaling = ScalingVector.from_series(series)
 
     with _stage("reservoir run"):

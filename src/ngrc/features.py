@@ -9,6 +9,11 @@ linear block. The canonical ordering is fixed once and for all:
 with each degree block enumerated by the non-decreasing exponent tuples of
 :func:`monomial_exponent_table`. Every trained readout matrix is laid out
 against this ordering.
+
+:func:`total_features` is the only code that builds monomials. It maps one
+linear block, or a batch of them stacked as columns, to the full features;
+training (:func:`feature_block`), the closed-loop rollout and the learned
+fixed point all go through it, so they see the same vector bit for bit.
 """
 
 from __future__ import annotations
@@ -86,30 +91,6 @@ def _exponent_array(n_vars: int, p: int) -> np.ndarray:
     return np.array(monomial_exponent_table(n_vars, p), dtype=np.intp)
 
 
-@dataclass(frozen=True)
-class DelayWindow:
-    """The k delayed observations feeding one feature vector, newest first.
-
-    Row 0 is the current sample X_i, row 1 is X_{i-s}, and so on.
-    """
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        if samples.ndim != 2:
-            raise ValueError(f"window must be 2-D (k x d), got shape {samples.shape}")
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def k(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.samples.shape[1]
-
-
 def feature_length(spec: FeatureSpec) -> int:
     """Total feature-vector length, computed without building any features.
 
@@ -137,37 +118,21 @@ def monomial_exponent_table(n_vars: int, p: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(n_vars), p))
 
 
-def delay_window(series: TimeSeries, spec: FeatureSpec, i: int) -> DelayWindow:
-    """The delay window ending at sample i of `series`."""
-    if i < spec.warmup_index:
-        raise WarmupError(
-            f"index {i} precedes warm-up: need i >= (k-1)*s = {spec.warmup_index}"
-        )
-    if i >= series.n_samples:
-        raise IndexError(f"index {i} out of range for {series.n_samples} samples")
-    taps = i - spec.s * np.arange(spec.k)
-    return DelayWindow(series.values[taps])
+def total_features(lin: np.ndarray, spec: FeatureSpec) -> np.ndarray:
+    """The full feature vectors of linear blocks, in canonical order.
 
-
-def linear_features(series: TimeSeries, spec: FeatureSpec, i: int) -> np.ndarray:
-    """The linear block [X_i; X_{i-s}; ...; X_{i-(k-1)s}] at sample i."""
-    if series.n_components != spec.d:
+    ``lin`` is one linear block [X_i; X_{i-s}; ...; X_{i-(k-1)s}] of length
+    d*k, or a (d*k, n) array holding n such blocks as columns; the result
+    has the same trailing shape.
+    """
+    lin = np.asarray(lin, dtype=float)
+    if lin.ndim == 0 or lin.shape[0] != spec.n_linear:
         raise ValueError(
-            f"series has {series.n_components} components but spec.d = {spec.d}"
+            f"linear block has shape {lin.shape}, spec needs {spec.n_linear} = d*k rows"
         )
-    return delay_window(series, spec, i).samples.ravel()
-
-
-def total_features(window: DelayWindow, spec: FeatureSpec) -> np.ndarray:
-    """The full feature vector for one delay window, in canonical order."""
-    if window.k != spec.k or window.d != spec.d:
-        raise ValueError(
-            f"window shape {window.samples.shape} does not match spec (k={spec.k}, d={spec.d})"
-        )
-    lin = window.samples.ravel()
     parts = []
     if spec.include_constant:
-        parts.append([spec.constant_value])
+        parts.append(np.full((1, *lin.shape[1:]), spec.constant_value))
     parts.append(lin)
     tables = spec.exponent_tables()
     for p in spec.degrees:
@@ -178,8 +143,8 @@ def total_features(window: DelayWindow, spec: FeatureSpec) -> np.ndarray:
 def feature_block(series: TimeSeries, spec: FeatureSpec, indices) -> np.ndarray:
     """Feature vectors at several sample indices, stacked as columns.
 
-    Equivalent to calling :func:`total_features` at each index but built
-    with vectorized slicing; columns follow the order of `indices`.
+    Column j is :func:`total_features` of the delay window ending at sample
+    ``indices[j]``: rows X_i, X_{i-s}, ..., newest first.
     """
     if series.n_components != spec.d:
         raise ValueError(
@@ -196,14 +161,7 @@ def feature_block(series: TimeSeries, spec: FeatureSpec, indices) -> np.ndarray:
     taps = indices[None, :] - spec.s * np.arange(spec.k)[:, None]  # (k, n)
     lin = series.values[taps]                                      # (k, n, d)
     lin = np.transpose(lin, (0, 2, 1)).reshape(spec.n_linear, -1)  # (k*d, n)
-    parts = []
-    if spec.include_constant:
-        parts.append(np.full((1, lin.shape[1]), spec.constant_value))
-    parts.append(lin)
-    tables = spec.exponent_tables()
-    for p in spec.degrees:
-        parts.append(np.prod(lin[tables[p], :], axis=1))
-    return np.vstack(parts)
+    return total_features(lin, spec)
 
 
 def feature_names(spec: FeatureSpec, components: list[str] | None = None) -> list[str]:

@@ -16,14 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import (
-    DelayWindow,
     FeatureSpec,
     WarmupError,
     feature_block,
     feature_length,
     total_features,
 )
-from .regression import ReadoutMatrix, TrainingBlock, readout_apply, ridge_fit
+from .regression import ReadoutMatrix, TrainingBlock, ridge_fit
 from .timeseries import TimeSeries
 
 SERIAL_FORMAT_VERSION = 1
@@ -138,23 +137,20 @@ def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
         raise ValueError(
             f"warm-up has {warmup.n_components} components but spec.d = {spec.d}"
         )
-    # Rolling history, newest last; length (k-1)*s + 1 covers every tap.
-    history = warmup.values[-depth:].copy()
+    # Warm-up and predictions share one buffer, oldest first; the taps of
+    # step i sit at rows i + tap_rows, newest first.
+    buf = np.empty((depth + n_steps, spec.d))
+    buf[:depth] = warmup.values[-depth:]
     tap_rows = depth - 1 - spec.s * np.arange(spec.k)
     weights = model.readout.weights
-    out = np.empty((n_steps, spec.d))
     # A model that escapes its attractor overflows to inf/nan; downstream
     # metrics treat non-finite samples as failed predictions, so the rollout
     # itself must not raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps):
-            window = DelayWindow(history[tap_rows])
-            delta = weights @ total_features(window, spec)
-            state = history[-1] + delta
-            out[step] = state
-            history = np.roll(history, -1, axis=0)
-            history[-1] = state
-    return TimeSeries(dt=warmup.dt, values=out, t0=warmup.t0 + warmup.n_samples * warmup.dt)
+        for i in range(n_steps):
+            delta = weights @ total_features(buf[i + tap_rows].ravel(), spec)
+            buf[depth + i] = buf[depth + i - 1] + delta
+    return TimeSeries(dt=warmup.dt, values=buf[depth:], t0=warmup.t0 + warmup.n_samples * warmup.dt)
 
 
 def train_inferrer(series: TimeSeries, observed, target: int, spec: FeatureSpec,
@@ -215,20 +211,6 @@ def infer(model: NgrcModel, series: TimeSeries) -> TimeSeries:
     feats = feature_block(obs_series, model.spec, idx)
     values = (model.readout.weights @ feats).T
     return TimeSeries(dt=series.dt, values=values, t0=series.t0 + idx[0] * series.dt)
-
-
-def one_step_prediction(model: NgrcModel, window: DelayWindow,
-                        current: np.ndarray | None = None) -> np.ndarray:
-    """One application of the learned map on an explicit delay window.
-
-    For delta-mode models the result is current + W*features (``current``
-    defaults to the newest window row); for direct mode it is W*features.
-    """
-    out = readout_apply(model.readout, total_features(window, model.spec))
-    if model.mode is Mode.FORECAST_DELTA:
-        base = window.samples[0] if current is None else np.asarray(current, dtype=float)
-        return base + out
-    return out
 
 
 def to_document(model: NgrcModel) -> dict:

@@ -89,12 +89,3 @@ def ridge_fit(block: TrainingBlock, alpha: float) -> ReadoutMatrix:
         raise SingularSystemError("fit produced non-finite weights")
     return ReadoutMatrix(weights=weights, alpha=float(alpha))
 
-
-def readout_apply(readout: ReadoutMatrix, feature_vec: np.ndarray) -> np.ndarray:
-    """Apply the readout to one feature vector."""
-    feature_vec = np.asarray(feature_vec, dtype=float)
-    if feature_vec.shape != (readout.feature_dim,):
-        raise ValueError(
-            f"feature vector has shape {feature_vec.shape}, expected ({readout.feature_dim},)"
-        )
-    return readout.weights @ feature_vec

@@ -35,7 +35,6 @@ class SystemDef:
 
     name: str
     dim: int
-    params: dict
     lyapunov_time: float
     rhs: Callable[[np.ndarray], np.ndarray]
 
@@ -105,7 +104,6 @@ def lorenz63() -> SystemDef:
     return SystemDef(
         name="lorenz63",
         dim=3,
-        params=dict(LORENZ_PARAMS),
         lyapunov_time=1.1,
         rhs=lorenz63_rhs,
     )
@@ -115,7 +113,6 @@ def double_scroll() -> SystemDef:
     return SystemDef(
         name="double_scroll",
         dim=3,
-        params=dict(DOUBLE_SCROLL_PARAMS),
         lyapunov_time=7.81,
         rhs=double_scroll_rhs,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .features import DelayWindow, total_features
+from .features import total_features
 from .model import Mode, NgrcModel
 from .systems import DOUBLE_SCROLL_PARAMS, LORENZ_PARAMS
 from .timeseries import TimeSeries
@@ -68,7 +68,6 @@ class UssEntry:
     true_state: np.ndarray
     estimated_state: np.ndarray | None
     scaled_distance: float | None
-    dispersion: float | None = None
 
 
 @dataclass(frozen=True)
@@ -77,18 +76,6 @@ class UssReport:
 
     def distances(self) -> list[float | None]:
         return [e.scaled_distance for e in self.entries]
-
-    def to_document(self) -> list[dict]:
-        docs = []
-        for e in self.entries:
-            docs.append({
-                "true_state": [float(v) for v in e.true_state],
-                "estimated_state": None if e.estimated_state is None
-                else [float(v) for v in e.estimated_state],
-                "scaled_distance": e.scaled_distance,
-                "dispersion": e.dispersion,
-            })
-        return docs
 
 
 def _check_shapes(predicted: TimeSeries, truth: TimeSeries, scaling: ScalingVector):
@@ -179,8 +166,8 @@ def learned_map_residual(model: NgrcModel, state: np.ndarray) -> np.ndarray:
     """The one-step displacement the model predicts from a constant history."""
     if model.mode is not Mode.FORECAST_DELTA:
         raise ValueError("fixed points are defined for forecast models only")
-    window = DelayWindow(np.tile(np.asarray(state, dtype=float), (model.spec.k, 1)))
-    return model.readout.weights @ total_features(window, model.spec)
+    lin = np.tile(np.asarray(state, dtype=float), model.spec.k)
+    return model.readout.weights @ total_features(lin, model.spec)
 
 
 def estimate_model_uss(model: NgrcModel, guesses, max_iter: int = 200,
@@ -240,20 +227,17 @@ def _residual_jacobian(model: NgrcModel, state: np.ndarray, h: float = 1e-6) -> 
     return jac
 
 
-def uss_report(model: NgrcModel, true_states, scaling: ScalingVector,
-               dispersions=None) -> UssReport:
+def uss_report(model: NgrcModel, true_states, scaling: ScalingVector) -> UssReport:
     """Compare each true steady state with the model fixed point seeded at it."""
     estimates = estimate_model_uss(model, true_states)
     entries = []
-    if dispersions is None:
-        dispersions = [None] * len(true_states)
-    for true_state, est, disp in zip(true_states, estimates, dispersions):
+    for true_state, est in zip(true_states, estimates):
         true_state = np.asarray(true_state, dtype=float)
         if est is None:
-            entries.append(UssEntry(true_state, None, None, disp))
+            entries.append(UssEntry(true_state, None, None))
         else:
             dist = float(np.linalg.norm((est - true_state) / scaling.values))
-            entries.append(UssEntry(true_state, est, dist, disp))
+            entries.append(UssEntry(true_state, est, dist))
     return UssReport(tuple(entries))
 
 

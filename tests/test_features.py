@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -7,15 +8,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ngrc import (
-    DelayWindow,
     FeatureSpec,
     TimeSeries,
     WarmupError,
-    delay_window,
     feature_block,
     feature_length,
     feature_names,
-    linear_features,
     monomial_exponent_table,
     total_features,
 )
@@ -82,46 +80,46 @@ def test_warmup_index():
 def test_delay_window_orders_newest_first():
     values = np.arange(20, dtype=float).reshape(10, 2)
     series = TimeSeries(dt=0.1, values=values)
-    spec = FeatureSpec(d=2, k=3, s=2, degrees=())
-    window = delay_window(series, spec, 7)
-    assert np.array_equal(window.samples, values[[7, 5, 3]])
+    spec = FeatureSpec(d=2, k=3, s=2, degrees=(), include_constant=False)
+    window = feature_block(series, spec, [7])[:, 0]
+    assert np.array_equal(window, values[[7, 5, 3]].ravel())
 
 
 def test_delay_window_rejects_warmup_region():
     series = TimeSeries(dt=0.1, values=np.zeros((10, 2)))
     spec = FeatureSpec(d=2, k=3, s=2, degrees=())
     with pytest.raises(WarmupError):
-        delay_window(series, spec, 3)
-    delay_window(series, spec, 4)  # first valid index
+        feature_block(series, spec, [3])
+    feature_block(series, spec, [4])  # first valid index
 
 
 def test_total_features_hand_computed():
     # window newest-first: X_i = 2, X_{i-1} = 3; quadratic monomials of
     # (2, 3) in enumeration order are 4, 6, 9
     spec = FeatureSpec(d=1, k=2, s=1, degrees=(2,), include_constant=True)
-    window = DelayWindow(np.array([[2.0], [3.0]]))
+    window = np.array([2.0, 3.0])
     expected = np.array([1.0, 2.0, 3.0, 4.0, 6.0, 9.0])
     assert np.array_equal(total_features(window, spec), expected)
 
 
 def test_total_features_cubic_no_constant():
     spec = FeatureSpec(d=1, k=1, s=1, degrees=(3,), include_constant=False)
-    window = DelayWindow(np.array([[2.0]]))
+    window = np.array([2.0])
     assert np.array_equal(total_features(window, spec), np.array([2.0, 8.0]))
 
 
 def test_constant_value_propagates():
     spec = FeatureSpec(d=1, k=1, s=1, degrees=(), include_constant=True,
                        constant_value=0.5)
-    window = DelayWindow(np.array([[7.0]]))
+    window = np.array([7.0])
     assert np.array_equal(total_features(window, spec), np.array([0.5, 7.0]))
 
 
 def test_linear_features_concatenate_taps():
     values = np.arange(12, dtype=float).reshape(6, 2)
     series = TimeSeries(dt=0.5, values=values)
-    spec = FeatureSpec(d=2, k=2, s=1, degrees=())
-    assert np.array_equal(linear_features(series, spec, 3),
+    spec = FeatureSpec(d=2, k=2, s=1, degrees=(), include_constant=False)
+    assert np.array_equal(feature_block(series, spec, [3])[:, 0],
                           np.array([6.0, 7.0, 4.0, 5.0]))
 
 
@@ -143,22 +141,22 @@ def test_feature_vector_length_matches_declared(spec, data):
             min_size=spec.k, max_size=spec.k,
         )
     )
-    window = DelayWindow(np.array(samples))
+    window = np.array(samples).ravel()
     assert total_features(window, spec).shape == (feature_length(spec),)
 
 
 @given(spec=specs())
 def test_window_of_ones_gives_unit_features(spec):
-    window = DelayWindow(np.ones((spec.k, spec.d)))
+    window = np.ones(spec.n_linear)
     assert np.array_equal(total_features(window, spec),
                           np.ones(feature_length(spec)))
 
 
 @given(spec=specs(), scale=st.floats(0.1, 3.0))
 def test_degree_blocks_scale_homogeneously(spec, scale):
-    base = np.linspace(0.5, 1.5, spec.k * spec.d).reshape(spec.k, spec.d)
-    f_base = total_features(DelayWindow(base), spec)
-    f_scaled = total_features(DelayWindow(scale * base), spec)
+    base = np.linspace(0.5, 1.5, spec.k * spec.d)
+    f_base = total_features(base, spec)
+    f_scaled = total_features(scale * base, spec)
     offset = 1 if spec.include_constant else 0
     # constant unchanged, linear block scales once, degree-p block scales p times
     assert np.allclose(f_scaled[offset:offset + spec.n_linear],
@@ -176,8 +174,27 @@ def test_feature_block_matches_per_index_loop(accurate_lorenz):
     indices = np.arange(spec.warmup_index, 40)
     block = feature_block(accurate_lorenz, spec, indices)
     for col, i in enumerate(indices):
-        window = delay_window(accurate_lorenz, spec, int(i))
+        window = accurate_lorenz.values[i - spec.s * np.arange(spec.k)].ravel()
         assert np.array_equal(block[:, col], total_features(window, spec))
+
+
+@st.composite
+def nonlinear_specs(draw):
+    degrees = draw(st.sets(st.integers(2, 4), min_size=1, max_size=3))
+    return replace(draw(specs()), degrees=tuple(degrees))
+
+
+@given(spec=nonlinear_specs(), n=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_batched_columns_equal_single_vectors(spec, n, seed):
+    block = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(spec.n_linear, n))
+    batched = total_features(block, spec)
+    assert batched.shape == (feature_length(spec), n)
+    for j in range(n):
+        assert np.array_equal(batched[:, j], total_features(block[:, j], spec))
+    with pytest.raises(ValueError):
+        total_features(block[1:], spec)
+    with pytest.raises(ValueError):
+        total_features(np.ones(spec.n_linear + 1), spec)
 
 
 def test_feature_block_rejects_warmup_indices(accurate_lorenz):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ngrc import (
-    DelayWindow,
     FeatureSpec,
     Mode,
     ReadoutMatrix,
@@ -16,7 +15,6 @@ from ngrc import (
     from_document,
     infer,
     load_model,
-    one_step_prediction,
     save_model,
     to_document,
     total_features,
@@ -33,21 +31,34 @@ def naive_rollout(model, warmup, n_steps):
     out = []
     for _ in range(n_steps):
         taps = np.array([history[len(history) - 1 - j * spec.s] for j in range(spec.k)])
-        delta = model.readout.weights @ total_features(DelayWindow(taps), spec)
+        delta = model.readout.weights @ total_features(taps.ravel(), spec)
         state = history[-1] + delta
         out.append(state)
         history.append(state)
     return np.array(out)
 
 
+def check_forecast_matches_naive_rollout(model, train):
+    warmup = train.segment(train.n_samples - 3 * model.spec.warmup_index - 3, train.n_samples)
+    predicted = forecast(model, warmup, 100)
+    assert np.array_equal(predicted.values, naive_rollout(model, warmup, 100))
+    return predicted, warmup
+
+
 def test_forecast_matches_naive_rollout_bit_exact(lorenz_task):
-    warmup = lorenz_task.train.segment(
-        lorenz_task.train.n_samples - 3 * lorenz_task.spec.warmup_index - 3,
-        lorenz_task.train.n_samples)
-    predicted = forecast(lorenz_task.model, warmup, 100)
-    assert np.array_equal(predicted.values, naive_rollout(lorenz_task.model, warmup, 100))
+    predicted, warmup = check_forecast_matches_naive_rollout(lorenz_task.model,
+                                                             lorenz_task.train)
     assert predicted.dt == warmup.dt
     assert predicted.t0 == pytest.approx(warmup.t0 + warmup.n_samples * warmup.dt)
+
+
+def test_forecast_matches_naive_rollout_bit_exact_wider_spec(lorenz_task):
+    # Three taps two samples apart exercise the rollout buffer's tap rows.
+    # At the canonical alpha this 220-feature fit is singular or its
+    # 100-step rollout diverges, hence the larger alpha.
+    spec = FeatureSpec(d=3, k=3, s=2, degrees=(2, 3))
+    model = train_forecaster(lorenz_task.train, spec, alpha=0.1)
+    check_forecast_matches_naive_rollout(model, lorenz_task.train)
 
 
 def test_recovers_linear_map_exactly():
@@ -103,15 +114,6 @@ def test_train_forecaster_rejects_mismatched_series():
     tiny = TimeSeries(dt=0.1, values=np.ones((3, 2)))
     with pytest.raises(ValueError):
         train_forecaster(tiny, FeatureSpec(d=2, k=4, s=5, degrees=(2,)), alpha=1e-6)
-
-
-def test_one_step_prediction_equals_first_forecast_step(lorenz_task):
-    model = lorenz_task.model
-    depth = model.spec.warmup_index + 1
-    warmup = lorenz_task.train.segment(100, 100 + depth)
-    first = forecast(model, warmup, 1).values[0]
-    taps = warmup.values[::-1][:: model.spec.s][: model.spec.k]
-    assert np.array_equal(one_step_prediction(model, DelayWindow(taps)), first)
 
 
 def test_serialization_roundtrip_preserves_forecasts(lorenz_task, tmp_path):

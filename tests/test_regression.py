@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ngrc import ReadoutMatrix, SingularSystemError, TrainingBlock, readout_apply, ridge_fit
+from ngrc import ReadoutMatrix, SingularSystemError, TrainingBlock, ridge_fit
 
 
 def dense_inverse_ridge(features, targets, alpha):
@@ -87,17 +87,11 @@ def test_block_validates_column_counts():
         TrainingBlock(np.ones((3, 10)), np.ones((2, 9)))
 
 
-def test_readout_apply_matrix_vector():
-    readout = ReadoutMatrix(weights=np.array([[1.0, 2.0], [0.0, -1.0]]), alpha=0.1)
-    assert np.array_equal(readout_apply(readout, np.array([3.0, 4.0])),
-                          np.array([11.0, -4.0]))
-    assert readout.feature_dim == 2
-    assert readout.output_dim == 2
-
-
 def test_fit_preserves_alpha_in_result(rng):
     block = random_block(rng, 4, 1, 12)
-    assert ridge_fit(block, 0.25).alpha == 0.25
+    readout = ridge_fit(block, 0.25)
+    assert readout.alpha == 0.25
+    assert (readout.output_dim, readout.feature_dim) == (1, 4)
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "1-D"])

@@ -192,8 +192,6 @@ def test_uss_report_structure():
     for entry in report.entries:
         assert entry.scaled_distance == pytest.approx(
             abs(entry.true_state[0] - 1.0) / 2.0, abs=1e-7)
-    docs = report.to_document()
-    assert docs[0]["true_state"] == [1.1]
     assert report.distances() == [e.scaled_distance for e in report.entries]
 
 
