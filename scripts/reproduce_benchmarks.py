@@ -10,18 +10,10 @@ import sys
 import time
 from pathlib import Path
 
-from ngrc.cli import main
-
 ROOT = Path(__file__).resolve().parent.parent
-TASKS = [
-    "forecast-lorenz",
-    "forecast-doublescroll",
-    "infer-lorenz",
-    "sweep-trainsize",
-    "noise-lorenz",
-    "complexity",
-    "baseline-rc",
-]
+sys.path.insert(0, str(ROOT / "src"))
+
+from ngrc.cli import TASKS, main  # noqa: E402
 
 
 def headline(task: str, summary: dict) -> str:

@@ -40,7 +40,7 @@ from .systems import (
     on_attractor_state,
 )
 from .timeseries import TimeSeries
-from .verify import ReturnMap, ScalingVector
+from .verify import ScalingVector
 
 
 class ConfigError(ValueError):
@@ -54,16 +54,6 @@ class ConfigError(ValueError):
 class NumericalFailure(RuntimeError):
     """A numerical stage of an experiment failed."""
 
-
-TASKS = (
-    "forecast-lorenz",
-    "forecast-doublescroll",
-    "infer-lorenz",
-    "sweep-trainsize",
-    "noise-lorenz",
-    "complexity",
-    "baseline-rc",
-)
 
 # Training-data integration accuracy is a load-bearing benchmark parameter:
 # the sampling error of a default-tolerance adaptive run acts as jitter that
@@ -181,6 +171,8 @@ TASK_DEFAULTS: dict[str, dict] = {
     },
 }
 
+TASKS = tuple(TASK_DEFAULTS)
+
 _TASK_SYSTEM = {
     "forecast-lorenz": "lorenz63",
     "forecast-doublescroll": "double_scroll",
@@ -222,13 +214,6 @@ class ExperimentConfig:
         return doc
 
 
-@dataclass(frozen=True)
-class ExperimentReport:
-    config: ExperimentConfig
-    summary: dict
-    files: tuple[str, ...]
-
-
 def _check_value(key, value, default, errors):
     """Validate one config entry against its default's type and invariants."""
     if isinstance(default, bool):
@@ -236,7 +221,7 @@ def _check_value(key, value, default, errors):
             errors.append(f"{key}: expected true/false, got {value!r}")
             return None
         return value
-    if isinstance(default, int) and not isinstance(default, bool):
+    if isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             errors.append(f"{key}: expected an integer, got {value!r}")
             return None
@@ -254,25 +239,17 @@ def _check_value(key, value, default, errors):
             errors.append(f"{key}: expected a list, got {value!r}")
             return None
 
-    if key == "alpha" and value < 0:
+    if key in ("alpha", "transient_time", "test_horizon", "nrmse_horizon", "rmse_horizon",
+               "threshold", "return_map_window", "noise_rms", "uss_segments",
+               "warmup_points", "target") and value < 0:
         errors.append(f"{key}: must be nonnegative, got {value}")
         return None
-    if key in ("k", "s") and value < 1:
+    if key in ("k", "s", "train_points", "test_points", "n_nodes", "substeps", "repeats",
+               "segments") and value < 1:
         errors.append(f"{key}: must be >= 1, got {value}")
         return None
     if key in ("dt", "rtol", "atol", "spectral_radius", "input_scale") and value <= 0:
         errors.append(f"{key}: must be positive, got {value}")
-        return None
-    if key in ("train_points", "test_points", "n_nodes", "substeps", "repeats",
-               "segments") and value < 1:
-        errors.append(f"{key}: must be >= 1, got {value}")
-        return None
-    if key in ("transient_time", "test_horizon", "nrmse_horizon", "rmse_horizon",
-               "threshold", "return_map_window", "noise_rms") and value < 0:
-        errors.append(f"{key}: must be nonnegative, got {value}")
-        return None
-    if key in ("uss_segments", "warmup_points", "target") and value < 0:
-        errors.append(f"{key}: must be nonnegative, got {value}")
         return None
     if key == "gamma" and not 0.0 <= value <= 1.0:
         errors.append(f"{key}: must be in [0, 1], got {value}")
@@ -292,8 +269,10 @@ def _check_value(key, value, default, errors):
             errors.append(f"{key}: expected a non-empty list of integers >= 10, got {value}")
             return None
     if key == "observed":
-        if not value or not all(isinstance(v, int) and v >= 0 for v in value):
-            errors.append(f"{key}: expected a non-empty list of component indices, got {value}")
+        if not value or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
+                                for v in value) or len(set(value)) != len(value):
+            errors.append(f"{key}: expected a non-empty list of distinct component "
+                          f"indices, got {value}")
             return None
     return value
 
@@ -335,16 +314,35 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         if checked is not None:
             settings[key] = checked
 
-    if task == "infer-lorenz" and not errors:
-        if settings["target"] in settings["observed"]:
-            errors.append("target: must not be among the observed components")
     if errors:
         raise ConfigError(errors)
-    return ExperimentConfig(task=task, seed=seed, out_dir=out_dir, settings=settings)
+    config = ExperimentConfig(task=task, seed=seed, out_dir=out_dir, settings=settings)
+
+    # Rules across keys, once every key is valid on its own. FeatureSpec owns
+    # its own rules (distinct degrees); its d is what the model will see.
+    if task in _TASK_SYSTEM:
+        d = get_system(_TASK_SYSTEM[task]).dim
+        if "observed" in settings:
+            observed, target = settings["observed"], settings["target"]
+            if target in observed:
+                errors.append("target: must not be among the observed components")
+            for key, indices in (("observed", observed), ("target", [target])):
+                if max(indices) >= d:
+                    errors.append(f"{key}: component indices must be < {d}, "
+                                  f"got {settings[key]}")
+            d = len(observed)
+        if "degrees" in settings:
+            try:
+                config.feature_spec(d)
+            except ValueError as exc:
+                errors.append(f"features: {exc}")
+    if errors:
+        raise ConfigError(errors)
+    return config
 
 
-def validate_config(path) -> ExperimentConfig:
-    """Load and fully validate a config file without running anything."""
+def validate_config(path, overrides: dict | None = None) -> ExperimentConfig:
+    """Load a config file, replace its keys by ``overrides`` and validate it."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -352,6 +350,8 @@ def validate_config(path) -> ExperimentConfig:
         raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config: {path} is not valid JSON: {exc}"]) from exc
+    if overrides and isinstance(raw, dict):
+        raw = {**raw, **overrides}
     return resolve_config(raw, source=str(path))
 
 
@@ -402,18 +402,18 @@ def _horizon_steps(config: ExperimentConfig, system: SystemDef, key: str) -> int
     return max(1, int(round(config[key] * system.lyapunov_time / config["dt"])))
 
 
-def _run_forecast(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
+def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
     system = get_system(_TASK_SYSTEM[config.task])
     spec = config.feature_spec(system.dim)
     train_points = config["train_points"]
     n_test = _horizon_steps(config, system, "test_horizon")
     n_nrmse = min(_horizon_steps(config, system, "nrmse_horizon"), n_test)
     n_return = int(round(config["return_map_window"] / config["dt"]))
+    n_forecast = max(n_test, n_return)
     uss_segments = config["uss_segments"]
 
     with _stage("integrate ground truth"):
-        n_mother = max(train_points + max(n_test, n_return),
-                       uss_segments * train_points + n_test) + 1
+        n_mother = max(train_points + n_forecast, uss_segments * train_points + n_test) + 1
         mother = _ground_truth(config, system, n_mother)
     scaling = ScalingVector.from_series(mother)
 
@@ -422,7 +422,7 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
         model = train_forecaster(train, spec, config["alpha"])
 
     with _stage("forecast"):
-        predicted = forecast(model, train, max(n_test, n_return) or n_test)
+        predicted = forecast(model, train, n_forecast)
     truth_test = mother.segment(train_points, train_points + n_test)
     pred_test = predicted.segment(0, n_test)
 
@@ -437,12 +437,10 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
         else:
             true_uss = verify.solve_double_scroll_uss()
 
+        # Segment 0 is the canonical model; the others are retrained on the
+        # following training-length windows of the same trajectory.
         valid_times = [vtime]
-        segment_distances: list[list[float]] = [[] for _ in true_uss]
-        canonical = verify.uss_report(model, true_uss, scaling)
-        for j, dist in enumerate(canonical.distances()):
-            if dist is not None:
-                segment_distances[j].append(dist)
+        reports = [verify.uss_report(model, true_uss, scaling)]
         for seg in range(1, uss_segments):
             seg_train = mother.segment(seg * train_points, (seg + 1) * train_points)
             seg_model = train_forecaster(seg_train, spec, config["alpha"])
@@ -451,14 +449,11 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
             seg_pred = forecast(seg_model, seg_train, n_test)
             valid_times.append(verify.valid_time(seg_pred, seg_truth, scaling,
                                                  config["threshold"], system.lyapunov_time))
-            for j, dist in enumerate(verify.uss_report(seg_model, true_uss,
-                                                       scaling).distances()):
-                if dist is not None:
-                    segment_distances[j].append(dist)
+            reports.append(verify.uss_report(seg_model, true_uss, scaling))
 
         uss_doc = []
-        for j, entry in enumerate(canonical.entries):
-            dists = segment_distances[j]
+        for j, entry in enumerate(reports[0].entries):
+            dists = [d for d in (r.distances()[j] for r in reports) if d is not None]
             uss_doc.append({
                 "true_state": [float(v) for v in entry.true_state],
                 "estimated_state": None if entry.estimated_state is None
@@ -469,7 +464,6 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
                 "segments_converged": len(dists),
             })
 
-    files = []
     components = _COMPONENT_NAMES[system.name]
     summary = {
         "task": config.task,
@@ -509,7 +503,6 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
             }
             truth_map.to_csv(out / "return_map_truth.csv")
             pred_map.to_csv(out / "return_map_forecast.csv")
-            files += ["return_map_truth.csv", "return_map_forecast.csv"]
 
     summary["readout_ranked"] = _ranked_readout(model, components)
 
@@ -517,12 +510,11 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
     truth_test.to_csv(out / "truth.csv")
     pred_test.to_csv(out / "forecast.csv")
     save_model(model, out / "model.json")
-    files += ["train.csv", "truth.csv", "forecast.csv", "model.json"]
-    return summary, files
+    return summary
 
 
-def _run_infer(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
-    system = get_system("lorenz63")
+def _run_infer(config: ExperimentConfig, out: Path) -> dict:
+    system = get_system(_TASK_SYSTEM[config.task])
     observed = tuple(config["observed"])
     target = config["target"]
     spec = config.feature_spec(len(observed))
@@ -565,11 +557,11 @@ def _run_infer(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
     test.to_csv(out / "truth.csv")
     inferred.to_csv(out / "inferred.csv")
     save_model(model, out / "model.json")
-    return summary, ["train.csv", "truth.csv", "inferred.csv", "model.json"]
+    return summary
 
 
-def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
-    system = get_system("lorenz63")
+def _run_sweep(config: ExperimentConfig, out: Path) -> dict:
+    system = get_system(_TASK_SYSTEM[config.task])
     spec = config.feature_spec(system.dim)
     sizes = sorted(config["sizes"])
     segments = config["segments"]
@@ -600,7 +592,7 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
                header="train_points,mean_nrmse,std_nrmse,median_nrmse,min_nrmse,max_nrmse")
 
     by_size = {int(r[0]): float(r[1]) for r in rows}
-    summary = {
+    return {
         "task": config.task,
         "system": system.name,
         "alpha": config["alpha"],
@@ -610,11 +602,10 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
         "mean_nrmse": {str(k): v for k, v in by_size.items()},
         "std_nrmse": {str(int(r[0])): float(r[2]) for r in rows},
     }
-    return summary, ["sweep.csv"]
 
 
-def _run_noise(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
-    system = get_system("lorenz63")
+def _run_noise(config: ExperimentConfig, out: Path) -> dict:
+    system = get_system(_TASK_SYSTEM[config.task])
     spec = config.feature_spec(system.dim)
     train_points = config["train_points"]
     n_horizon = _horizon_steps(config, system, "rmse_horizon")
@@ -626,7 +617,6 @@ def _run_noise(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
     x0 = reference.values[0]
 
     scaled_rmses, raw_rmses, noisy_stds = [], [], []
-    first_files: list[str] = []
     with _stage("noisy training and forecast"):
         noisy_runs = integrate_noisy(
             system,
@@ -651,10 +641,8 @@ def _run_noise(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
                 truth_after.to_csv(out / "truth_noise_free.csv")
                 pred.to_csv(out / "forecast.csv")
                 save_model(rep_model, out / "model.json")
-                first_files = ["train_noisy.csv", "truth_noise_free.csv",
-                               "forecast.csv", "model.json"]
 
-    summary = {
+    return {
         "task": config.task,
         "system": system.name,
         "alpha": config["alpha"],
@@ -669,7 +657,6 @@ def _run_noise(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
         "noisy_component_std_mean": [float(v) for v in np.mean(noisy_stds, axis=0)],
         "noise_free_component_std": [float(v) for v in scaling.values],
     }
-    return summary, first_files
 
 
 # Published speedup figures for the reference reservoir implementations the
@@ -702,7 +689,7 @@ COMPLEXITY_CASES = [
 ]
 
 
-def _run_complexity(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
+def _run_complexity(config: ExperimentConfig, out: Path) -> dict:
     tables = []
     for case in COMPLEXITY_CASES:
         ng = case["ngrc"]
@@ -731,12 +718,11 @@ def _run_complexity(config: ExperimentConfig, out: Path) -> tuple[dict, list[str
                      "n_total": ng.n_total, "n_nonlinear": ng.n_nonlinear},
             "rows": rows,
         })
-    summary = {"task": config.task, "tables": tables}
-    return summary, []
+    return {"task": config.task, "tables": tables}
 
 
-def _run_baseline(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]:
-    system = get_system("lorenz63")
+def _run_baseline(config: ExperimentConfig, out: Path) -> dict:
+    system = get_system(_TASK_SYSTEM[config.task])
     train_points, warmup_points = config["train_points"], config["warmup_points"]
 
     with _stage("integrate ground truth"):
@@ -765,7 +751,7 @@ def _run_baseline(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
         err = (predicted - series.values[cols + 1]) / scaling.values
         train_nrmse = float(np.sqrt(np.mean(err**2)))
 
-    summary = {
+    return {
         "task": config.task,
         "system": system.name,
         "n_nodes": config["n_nodes"],
@@ -778,7 +764,6 @@ def _run_baseline(config: ExperimentConfig, out: Path) -> tuple[dict, list[str]]
         "train_nrmse": train_nrmse,
         "finite": bool(np.isfinite(train_nrmse)),
     }
-    return summary, []
 
 
 _RUNNERS = {
@@ -813,16 +798,16 @@ class _stage:
         return False
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentReport:
-    """Execute one experiment and write its outputs.
+def run_experiment(config: ExperimentConfig) -> dict:
+    """Execute one experiment, write its outputs and return its summary.
 
     Writes summary.json, resolved-config.json and the task's CSVs into the
-    config's output directory. Raises ConfigError / NumericalFailure on the
-    corresponding failures.
+    config's output directory. Raises NumericalFailure when a numerical
+    stage fails.
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary, files = _RUNNERS[config.task](config, out)
+    summary = _RUNNERS[config.task](config, out)
 
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -830,37 +815,33 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     with open(out / "resolved-config.json", "w") as fh:
         json.dump(config.to_document(), fh, indent=2)
         fh.write("\n")
-    files = tuple(files) + ("summary.json", "resolved-config.json")
-    return ExperimentReport(config=config, summary=summary, files=files)
+    return summary
 
 
-def _print_report(summary: dict, stream=None) -> None:
-    stream = sys.stdout if stream is None else stream
-    skip = {"readout_ranked", "valid_times", "scaled_rmse_values", "raw_rmse_values",
-            "scaling", "uss", "tables", "mean_nrmse", "std_nrmse"}
-    print(f"task: {summary.get('task')}", file=stream)
+def _print_report(summary: dict) -> None:
+    skip = {"task", "readout_ranked", "valid_times", "scaled_rmse_values",
+            "raw_rmse_values", "scaling", "uss", "tables", "mean_nrmse", "std_nrmse"}
+    print(f"task: {summary.get('task')}")
     for key, value in summary.items():
-        if key in skip or key == "task":
-            continue
-        print(f"  {key}: {value}", file=stream)
+        if key not in skip:
+            print(f"  {key}: {value}")
     if "uss" in summary:
         for entry in summary["uss"]:
             true_state = np.array(entry["true_state"])
             print(f"  uss {np.round(true_state, 3).tolist()} -> scaled distance "
-                  f"{entry['scaled_distance']} (dispersion {entry['dispersion_std']})",
-                  file=stream)
+                  f"{entry['scaled_distance']} (dispersion {entry['dispersion_std']})")
     if "tables" in summary:
         for table in summary["tables"]:
             ng = table["ngrc"]
             print(f"  {table['system']}: features n_total={ng['n_total']} "
-                  f"n_nonlinear={ng['n_nonlinear']}", file=stream)
+                  f"n_nonlinear={ng['n_nonlinear']}")
             for row in table["rows"]:
                 computed = ", ".join(f"{v:.3g}" for v in row["computed_speedup"])
                 print(f"    vs {row['reference']}: computed speedup [{computed}] "
-                      f"(published {row['quoted_speedup']})", file=stream)
+                      f"(published {row['quoted_speedup']})")
     if "mean_nrmse" in summary:
         for size, value in summary["mean_nrmse"].items():
-            print(f"  train_points {size}: mean NRMSE {value:.3e}", file=stream)
+            print(f"  train_points {size}: mean NRMSE {value:.3e}")
 
 
 def main(argv=None) -> int:
@@ -883,20 +864,8 @@ def main(argv=None) -> int:
 
     p_rep = sub.add_parser("report", help="print the summary of a finished run")
     p_rep.add_argument("dir")
-    p_rep.add_argument("--quiet", action="store_true")
 
     args = parser.parse_args(argv)
-
-    if args.command == "validate":
-        try:
-            config = validate_config(args.config)
-        except ConfigError as exc:
-            for message in exc.messages:
-                print(f"config error: {message}", file=sys.stderr)
-            return 2
-        if not args.quiet:
-            print(json.dumps(config.to_document(), indent=2))
-        return 0
 
     if args.command == "report":
         summary_path = Path(args.dir) / "summary.json"
@@ -907,32 +876,28 @@ def main(argv=None) -> int:
             _print_report(json.load(fh))
         return 0
 
-    # run
+    overrides = {}
+    if args.command == "run":
+        overrides = {key: value for key, value in (("seed", args.seed), ("out_dir", args.out))
+                     if value is not None}
     try:
-        config = validate_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError([f"seed: expected a nonnegative integer, got {args.seed}"])
-        if args.out is not None or args.seed is not None:
-            config = ExperimentConfig(
-                task=config.task,
-                seed=config.seed if args.seed is None else args.seed,
-                out_dir=config.out_dir if args.out is None else args.out,
-                settings=config.settings,
-            )
+        config = validate_config(args.config, overrides)
     except ConfigError as exc:
         for message in exc.messages:
             print(f"config error: {message}", file=sys.stderr)
         return 2
+    if args.command == "validate":
+        if not args.quiet:
+            print(json.dumps(config.to_document(), indent=2))
+        return 0
+
     try:
-        report = run_experiment(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        summary = run_experiment(config)
     except (NumericalFailure, *_NUMERICAL_ERRORS) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if not args.quiet:
-        _print_report(report.summary)
+        _print_report(summary)
         print(f"outputs written to {config.out_dir}")
     return 0
 

@@ -46,7 +46,7 @@ def budget(seconds: float, label: str):
 
 def run_task(tmp_path, overrides):
     config = resolve_config({**overrides, "out_dir": str(tmp_path / "run")})
-    return run_experiment(config).summary
+    return run_experiment(config)
 
 
 def test_feature_counts_match_benchmark_setups():

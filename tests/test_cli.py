@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from ngrc.cli import (
     resolve_config,
     validate_config,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -80,7 +83,7 @@ def test_resolve_config_rejects_observed_target_overlap():
         resolve_config({"task": "infer-lorenz", "observed": [0, 2], "target": 2})
 
 
-def test_resolve_config_type_strictness():
+def test_resolve_config_type_strictness(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
         resolve_config({"task": "complexity", "seed": "zero"})
     with pytest.raises(ConfigError, match="seed"):
@@ -89,6 +92,27 @@ def test_resolve_config_type_strictness():
         resolve_config({"task": "forecast-lorenz", "degrees": [2, 1]})
     with pytest.raises(ConfigError, match="train_points"):
         resolve_config({"task": "forecast-lorenz", "train_points": True})
+
+    # rules that used to pass validation and then crash the run
+    cases = [
+        ({"task": "forecast-lorenz", "degrees": [2, 2]}, "degrees"),
+        ({"task": "infer-lorenz", "target": 5}, "target"),
+        ({"task": "infer-lorenz", "observed": [0, 7]}, "observed"),
+        ({"task": "infer-lorenz", "observed": [True, 1]}, "observed"),
+        ({"task": "infer-lorenz", "observed": [1, 1]}, "observed"),
+    ]
+    for i, (doc, field) in enumerate(cases):
+        with pytest.raises(ConfigError, match=field):
+            resolve_config(doc)
+        assert main(["validate", write_config(tmp_path, doc, f"bad{i}.json")]) == 2
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_canonical_configs_resolve_to_tracked_provenance(task):
+    path = ROOT / "configs" / f"{task}.json"
+    tracked = json.loads((ROOT / "runs" / task / "resolved-config.json").read_text())
+    assert resolve_config(json.loads(path.read_text())).to_document() == tracked
+    assert main(["validate", str(path), "--quiet"]) == 0
 
 
 def test_validate_config_file_errors(tmp_path):
@@ -251,5 +275,5 @@ def test_noise_seeds_draw_independent_noise(tmp_path):
     for seed in (0, 1):
         config = resolve_config({"task": "noise-lorenz", "repeats": 4, "seed": seed,
                                  "out_dir": str(tmp_path / str(seed))})
-        values.append(ngrc.cli.run_experiment(config).summary["scaled_rmse_values"])
+        values.append(ngrc.cli.run_experiment(config)["scaled_rmse_values"])
     assert len(set(values[0]) | set(values[1])) == 8
