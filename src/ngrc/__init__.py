@@ -11,6 +11,7 @@ conventional recurrent reservoir baseline for cost comparisons.
 from .baseline import (
     CostParams,
     Reservoir,
+    ReservoirError,
     ReservoirParams,
     build_reservoir,
     estimate_cost,
@@ -60,6 +61,7 @@ from .systems import (
 from .timeseries import TimeSeries
 from .verify import (
     ReturnMap,
+    ReturnMapError,
     ScalingVector,
     UssEntry,
     UssReport,
@@ -85,8 +87,10 @@ __all__ = [
     "NgrcModel",
     "ReadoutMatrix",
     "Reservoir",
+    "ReservoirError",
     "ReservoirParams",
     "ReturnMap",
+    "ReturnMapError",
     "ScalingVector",
     "SingularSystemError",
     "SystemDef",

@@ -16,6 +16,10 @@ import numpy as np
 from .timeseries import TimeSeries
 
 
+class ReservoirError(RuntimeError):
+    """Raised when a drawn adjacency matrix cannot be scaled to the spectral radius."""
+
+
 @dataclass(frozen=True)
 class ReservoirParams:
     """Metaparameters of the random recurrent network."""
@@ -72,7 +76,7 @@ def build_reservoir(params: ReservoirParams, input_dim: int) -> Reservoir:
     adjacency = adjacency.reshape(n, n)
     radius = np.abs(np.linalg.eigvals(adjacency)).max()
     if radius == 0.0:
-        raise ValueError("drawn adjacency matrix has zero spectral radius; cannot rescale")
+        raise ReservoirError("drawn adjacency matrix has zero spectral radius; cannot rescale")
     adjacency *= params.spectral_radius / radius
     input_weights = rng.uniform(-params.input_scale, params.input_scale, size=(n, input_dim))
     return Reservoir(
@@ -151,3 +155,34 @@ def estimate_cost(ng: CostParams, rc: CostParams) -> float:
     if ng_cost == 0:
         raise ValueError("NG-RC cost parameters give zero cost; ratio undefined")
     return training_cost_rc(rc) / ng_cost
+
+
+# Published speedup figures for the reference reservoir implementations the
+# cost model is compared against, laid out as the rows the complexity task
+# reports; the task fills in each row's computed_speedup.
+COMPLEXITY_CASES = [
+    {
+        "system": "lorenz63",
+        "ngrc": {"m_warmup": 2, "m_train": 400, "n_total": 28, "n_nonlinear": 21},
+        "rows": [
+            {"reference": "low-connectivity RC", "m_warmup": 1000, "m_train": 1000,
+             "n_total": 100, "n_nodes": 100, "sigma_r": [0.01, 0.05],
+             "computed_speedup": None, "quoted_speedup": "33-163"},
+            {"reference": "intermediate RC", "m_warmup": 0, "m_train": 5000,
+             "n_total": 300, "n_nodes": 300, "sigma_r": [0.02],
+             "computed_speedup": None, "quoted_speedup": "1.5e3"},
+            {"reference": "high-accuracy RC", "m_warmup": 100000, "m_train": 60000,
+             "n_total": 4000, "n_nodes": 2000, "sigma_r": [0.02],
+             "computed_speedup": None, "quoted_speedup": "3.2e6"},
+        ],
+    },
+    {
+        "system": "double_scroll",
+        "ngrc": {"m_warmup": 2, "m_train": 400, "n_total": 62, "n_nonlinear": 56},
+        "rows": [
+            {"reference": "low-connectivity RC", "m_warmup": 1000, "m_train": 1000,
+             "n_total": 100, "n_nodes": 100, "sigma_r": [0.01, 0.05],
+             "computed_speedup": None, "quoted_speedup": "8-41"},
+        ],
+    },
+]

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,67 +215,47 @@ class ExperimentConfig:
         return doc
 
 
-def _check_value(key, value, default, errors):
-    """Validate one config entry against its default's type and invariants."""
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            errors.append(f"{key}: expected true/false, got {value!r}")
-            return None
-        return value
-    if isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            errors.append(f"{key}: expected an integer, got {value!r}")
-            return None
-    elif isinstance(default, float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            errors.append(f"{key}: expected a number, got {value!r}")
-            return None
-        value = float(value)
-    elif isinstance(default, str):
-        if not isinstance(value, str):
-            errors.append(f"{key}: expected a string, got {value!r}")
-            return None
-    elif isinstance(default, list):
-        if not isinstance(value, list):
-            errors.append(f"{key}: expected a list, got {value!r}")
-            return None
+_TYPE_NAMES = {bool: "true/false", int: "an integer", float: "a number",
+               str: "a string", list: "a list"}
 
-    if key in ("alpha", "transient_time", "test_horizon", "nrmse_horizon", "rmse_horizon",
-               "threshold", "return_map_window", "noise_rms", "uss_segments",
-               "warmup_points", "target") and value < 0:
-        errors.append(f"{key}: must be nonnegative, got {value}")
-        return None
-    if key in ("k", "s", "train_points", "test_points", "n_nodes", "substeps", "repeats",
-               "segments") and value < 1:
-        errors.append(f"{key}: must be >= 1, got {value}")
-        return None
-    if key in ("dt", "rtol", "atol", "spectral_radius", "input_scale") and value <= 0:
-        errors.append(f"{key}: must be positive, got {value}")
-        return None
-    if key == "gamma" and not 0.0 <= value <= 1.0:
-        errors.append(f"{key}: must be in [0, 1], got {value}")
-        return None
-    if key == "sigma_r" and not 0.0 < value <= 1.0:
-        errors.append(f"{key}: must be in (0, 1], got {value}")
-        return None
-    if key == "activation" and value not in ("tanh", "linear"):
-        errors.append(f"{key}: must be 'tanh' or 'linear', got {value!r}")
-        return None
-    if key == "degrees":
-        if not all(isinstance(p, int) and not isinstance(p, bool) and p >= 2 for p in value):
-            errors.append(f"{key}: every degree must be an integer >= 2, got {value}")
-            return None
-    if key == "sizes":
-        if not value or not all(isinstance(v, int) and v >= 10 for v in value):
-            errors.append(f"{key}: expected a non-empty list of integers >= 10, got {value}")
-            return None
-    if key == "observed":
-        if not value or not all(isinstance(v, int) and not isinstance(v, bool) and v >= 0
-                                for v in value) or len(set(value)) != len(value):
-            errors.append(f"{key}: expected a non-empty list of distinct component "
-                          f"indices, got {value}")
-            return None
-    return value
+
+def _has_type(value, default) -> bool:
+    """Whether ``value`` has the JSON type of ``default`` (ints pass as floats)."""
+    if isinstance(value, bool) != isinstance(default, bool):
+        return False
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _int_at_least(v, least: int = 0) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_ANY_VALUE = (lambda v: True, None)
+
+# One (holds, message) rule per key that has an invariant beyond its type.
+_RULES = {
+    **dict.fromkeys(("seed", "alpha", "test_horizon", "nrmse_horizon", "rmse_horizon",
+                     "threshold", "return_map_window", "noise_rms", "warmup_points",
+                     "target"), _NONNEGATIVE),
+    **dict.fromkeys(("k", "s", "train_points", "test_points", "n_nodes", "substeps",
+                     "repeats", "segments", "uss_segments"), _AT_LEAST_ONE),
+    **dict.fromkeys(("dt", "transient_time", "rtol", "atol", "spectral_radius",
+                     "input_scale"), _POSITIVE),
+    "gamma": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
+    "sigma_r": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    "activation": (lambda v: v in ("tanh", "linear"), "must be 'tanh' or 'linear'"),
+    "degrees": (lambda v: all(_int_at_least(p, 2) for p in v),
+                "every degree must be an integer >= 2"),
+    "sizes": (lambda v: v and all(_int_at_least(n, 10) for n in v),
+              "expected a non-empty list of integers >= 10"),
+    "observed": (lambda v: v and all(map(_int_at_least, v)) and len(set(v)) == len(v),
+                 "expected a non-empty list of distinct component indices"),
+}
 
 
 def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
@@ -288,35 +269,30 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     if task not in TASKS:
         raise ConfigError([f"task: unknown task {task!r} (one of " + ", ".join(TASKS) + ")"])
 
-    defaults = TASK_DEFAULTS[task]
+    defaults = {"seed": 0, "out_dir": f"runs/{task}", **TASK_DEFAULTS[task]}
     settings = dict(defaults)
-    seed = 0
-    out_dir = f"runs/{task}"
     for key, value in raw.items():
         if key == "task":
-            continue
-        if key == "seed":
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                errors.append(f"seed: expected a nonnegative integer, got {value!r}")
-            else:
-                seed = value
-            continue
-        if key == "out_dir":
-            if not isinstance(value, str):
-                errors.append(f"out_dir: expected a string, got {value!r}")
-            else:
-                out_dir = value
             continue
         if key not in defaults:
             errors.append(f"{key}: unknown key for task {task}")
             continue
-        checked = _check_value(key, value, defaults[key], errors)
-        if checked is not None:
-            settings[key] = checked
+        default = defaults[key]
+        if not _has_type(value, default):
+            errors.append(f"{key}: expected {_TYPE_NAMES[type(default)]}, got {value!r}")
+            continue
+        if isinstance(default, float):
+            value = float(value)
+        holds, message = _RULES.get(key, _ANY_VALUE)
+        if not holds(value):
+            errors.append(f"{key}: {message}, got {value!r}")
+            continue
+        settings[key] = value
 
     if errors:
         raise ConfigError(errors)
-    config = ExperimentConfig(task=task, seed=seed, out_dir=out_dir, settings=settings)
+    config = ExperimentConfig(task=task, seed=settings.pop("seed"),
+                              out_dir=settings.pop("out_dir"), settings=settings)
 
     # Rules across keys, once every key is valid on its own. FeatureSpec owns
     # its own rules (distinct degrees); its d is what the model will see.
@@ -333,9 +309,18 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
             d = len(observed)
         if "degrees" in settings:
             try:
-                config.feature_spec(d)
+                spec = config.feature_spec(d)
             except ValueError as exc:
                 errors.append(f"features: {exc}")
+            else:
+                # Every window needs one full delay window per feature vector;
+                # a forecaster also needs the sample after it as a target.
+                need = spec.warmup_index + (1 if "observed" in settings else 2)
+                for key in ("train_points", "test_points", "sizes"):
+                    if key in settings and np.min(settings[key]) < need:
+                        errors.append(f"{key}: need at least {need} samples for the "
+                                      f"delay window of k={spec.k}, s={spec.s}, "
+                                      f"got {settings[key]}")
     if errors:
         raise ConfigError(errors)
     return config
@@ -384,16 +369,9 @@ def _ranked_readout(model: NgrcModel, components: list[str]) -> list[dict]:
     """All readout entries sorted by |weight| descending, with labels."""
     obs_names = [components[i] for i in model.input_indices]
     labels = feature_names(model.spec, obs_names)
-    entries = []
-    for row in range(model.readout.output_dim):
-        for col, label in enumerate(labels):
-            entries.append(
-                {
-                    "output": row,
-                    "feature": label,
-                    "weight": float(model.readout.weights[row, col]),
-                }
-            )
+    entries = [{"output": row, "feature": label, "weight": float(weight)}
+               for row, weights in enumerate(model.readout.weights)
+               for label, weight in zip(labels, weights)]
     entries.sort(key=lambda e: abs(e["weight"]), reverse=True)
     return entries
 
@@ -417,40 +395,32 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
         mother = _ground_truth(config, system, n_mother)
     scaling = ScalingVector.from_series(mother)
 
-    with _stage("train"):
-        train = mother.segment(0, train_points)
-        model = train_forecaster(train, spec, config["alpha"])
+    true_uss = (verify.lorenz_uss() if system.name == "lorenz63"
+                else verify.solve_double_scroll_uss())
 
-    with _stage("forecast"):
-        predicted = forecast(model, train, n_forecast)
-    truth_test = mother.segment(train_points, train_points + n_test)
+    # Segment 0 is the canonical model and runs on for the return map; the
+    # others are retrained on the following training-length windows of the
+    # same trajectory.
+    segments, valid_times, reports = [], [], []
+    for seg in range(uss_segments):
+        start, stop = seg * train_points, (seg + 1) * train_points
+        with _stage("train"):
+            train = mother.segment(start, stop)
+            seg_model = train_forecaster(train, spec, config["alpha"])
+        with _stage("forecast"):
+            predicted = forecast(seg_model, train, n_forecast if seg == 0 else n_test)
+        truth = mother.segment(stop, stop + n_test)
+        with _stage("verify"):
+            valid_times.append(verify.valid_time(predicted.segment(0, n_test), truth, scaling,
+                                                 config["threshold"], system.lyapunov_time))
+            reports.append(verify.uss_report(seg_model, true_uss, scaling))
+        segments.append((train, seg_model, predicted, truth))
+    train, model, predicted, truth_test = segments[0]
     pred_test = predicted.segment(0, n_test)
 
     with _stage("verify"):
         test_nrmse = verify.nrmse(pred_test.segment(0, n_nrmse),
                                   truth_test.segment(0, n_nrmse), scaling)
-        vtime = verify.valid_time(pred_test, truth_test, scaling,
-                                  config["threshold"], system.lyapunov_time)
-
-        if system.name == "lorenz63":
-            true_uss = verify.lorenz_uss()
-        else:
-            true_uss = verify.solve_double_scroll_uss()
-
-        # Segment 0 is the canonical model; the others are retrained on the
-        # following training-length windows of the same trajectory.
-        valid_times = [vtime]
-        reports = [verify.uss_report(model, true_uss, scaling)]
-        for seg in range(1, uss_segments):
-            seg_train = mother.segment(seg * train_points, (seg + 1) * train_points)
-            seg_model = train_forecaster(seg_train, spec, config["alpha"])
-            seg_truth = mother.segment((seg + 1) * train_points,
-                                       (seg + 1) * train_points + n_test)
-            seg_pred = forecast(seg_model, seg_train, n_test)
-            valid_times.append(verify.valid_time(seg_pred, seg_truth, scaling,
-                                                 config["threshold"], system.lyapunov_time))
-            reports.append(verify.uss_report(seg_model, true_uss, scaling))
-
         uss_doc = []
         for j, entry in enumerate(reports[0].entries):
             dists = [d for d in (r.distances()[j] for r in reports) if d is not None]
@@ -475,7 +445,7 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
         "train_nrmse": model.metadata["train_nrmse"],
         "test_nrmse": test_nrmse,
         "nrmse_horizon_lyapunov": config["nrmse_horizon"],
-        "valid_time_lyapunov": vtime,
+        "valid_time_lyapunov": valid_times[0],
         "valid_time_median": float(np.median(valid_times)),
         "valid_times": valid_times,
         "threshold": config["threshold"],
@@ -659,65 +629,17 @@ def _run_noise(config: ExperimentConfig, out: Path) -> dict:
     }
 
 
-# Published speedup figures for the reference reservoir implementations the
-# cost model is compared against.
-COMPLEXITY_CASES = [
-    {
-        "system": "lorenz63",
-        "ngrc": baseline.CostParams(m_warmup=2, m_train=400, n_total=28, n_nonlinear=21),
-        "references": [
-            {"name": "low-connectivity RC", "m_warmup": 1000, "m_train": 1000,
-             "n_total": 100, "n_nodes": 100, "sigma_r": [0.01, 0.05],
-             "quoted_speedup": "33-163"},
-            {"name": "intermediate RC", "m_warmup": 0, "m_train": 5000,
-             "n_total": 300, "n_nodes": 300, "sigma_r": [0.02],
-             "quoted_speedup": "1.5e3"},
-            {"name": "high-accuracy RC", "m_warmup": 100000, "m_train": 60000,
-             "n_total": 4000, "n_nodes": 2000, "sigma_r": [0.02],
-             "quoted_speedup": "3.2e6"},
-        ],
-    },
-    {
-        "system": "double_scroll",
-        "ngrc": baseline.CostParams(m_warmup=2, m_train=400, n_total=62, n_nonlinear=56),
-        "references": [
-            {"name": "low-connectivity RC", "m_warmup": 1000, "m_train": 1000,
-             "n_total": 100, "n_nodes": 100, "sigma_r": [0.01, 0.05],
-             "quoted_speedup": "8-41"},
-        ],
-    },
-]
-
-
 def _run_complexity(config: ExperimentConfig, out: Path) -> dict:
     tables = []
-    for case in COMPLEXITY_CASES:
-        ng = case["ngrc"]
+    for case in baseline.COMPLEXITY_CASES:
+        ng = baseline.CostParams(**case["ngrc"])
         rows = []
-        for ref in case["references"]:
-            computed = []
-            for sigma in ref["sigma_r"]:
-                rc = baseline.CostParams(
-                    m_warmup=ref["m_warmup"], m_train=ref["m_train"],
-                    n_total=ref["n_total"], n_nodes=ref["n_nodes"], sigma_r=sigma,
-                )
-                computed.append(float(baseline.estimate_cost(ng, rc)))
-            rows.append({
-                "reference": ref["name"],
-                "m_warmup": ref["m_warmup"],
-                "m_train": ref["m_train"],
-                "n_total": ref["n_total"],
-                "n_nodes": ref["n_nodes"],
-                "sigma_r": ref["sigma_r"],
-                "computed_speedup": computed,
-                "quoted_speedup": ref["quoted_speedup"],
-            })
-        tables.append({
-            "system": case["system"],
-            "ngrc": {"m_warmup": ng.m_warmup, "m_train": ng.m_train,
-                     "n_total": ng.n_total, "n_nonlinear": ng.n_nonlinear},
-            "rows": rows,
-        })
+        for row in case["rows"]:
+            sizes = {key: row[key] for key in ("m_warmup", "m_train", "n_total", "n_nodes")}
+            computed = [baseline.estimate_cost(ng, baseline.CostParams(**sizes, sigma_r=sigma))
+                        for sigma in row["sigma_r"]]
+            rows.append({**row, "computed_speedup": computed})
+        tables.append({**case, "rows": rows})
     return {"task": config.task, "tables": tables}
 
 
@@ -779,23 +701,17 @@ _RUNNERS = {
 
 # What a run reports as a numerical failure (exit 3). Anything else, such as
 # a TypeError from a wrong call, propagates unchanged.
-_NUMERICAL_ERRORS = (IntegrationError, SingularSystemError, np.linalg.LinAlgError,
-                     FloatingPointError)
+_NUMERICAL_ERRORS = (IntegrationError, SingularSystemError, verify.ReturnMapError,
+                     baseline.ReservoirError, np.linalg.LinAlgError, FloatingPointError)
 
 
-class _stage:
+@contextmanager
+def _stage(name: str):
     """Names the failing stage when a numerical error escapes an experiment."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, _NUMERICAL_ERRORS):
-            raise NumericalFailure(f"stage '{self.name}': {exc}") from exc
-        return False
+    try:
+        yield
+    except _NUMERICAL_ERRORS as exc:
+        raise NumericalFailure(f"stage '{name}': {exc}") from exc
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

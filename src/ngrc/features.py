@@ -76,11 +76,6 @@ class FeatureSpec:
         """First sample index with a fully populated delay window."""
         return (self.k - 1) * self.s
 
-    @property
-    def warmup_samples(self) -> int:
-        """Number of samples needed before the first feature vector exists."""
-        return self.warmup_index + 1
-
     def exponent_tables(self) -> dict[int, np.ndarray]:
         """Exponent-index table for each nonlinear degree (cached)."""
         return {p: _exponent_array(self.n_linear, p) for p in self.degrees}

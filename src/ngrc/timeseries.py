@@ -72,30 +72,3 @@ class TimeSeries:
             f"c{j}" for j in range(self.n_components)
         )
         np.savetxt(path, data, fmt="%.17g", delimiter=",", header=header)
-
-    @classmethod
-    def from_csv(cls, path) -> "TimeSeries":
-        """Read a series written by :meth:`to_csv`.
-
-        ``dt`` and ``t0`` are taken from the header when present, otherwise
-        inferred from the time column.
-        """
-        dt = t0 = None
-        with open(path) as fh:
-            first = fh.readline()
-        if first.startswith("# dt="):
-            for token in first[2:].split():
-                key, _, raw = token.partition("=")
-                if key == "dt":
-                    dt = float(raw)
-                elif key == "t0":
-                    t0 = float(raw)
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        times, values = data[:, 0], data[:, 1:]
-        if dt is None:
-            if len(times) < 2:
-                raise ValueError("cannot infer dt from a single-sample file without a header")
-            dt = float(times[1] - times[0])
-        if t0 is None:
-            t0 = float(times[0])
-        return cls(dt=dt, values=values, t0=t0)

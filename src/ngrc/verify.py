@@ -20,6 +20,10 @@ from .systems import DOUBLE_SCROLL_PARAMS, LORENZ_PARAMS
 from .timeseries import TimeSeries
 
 
+class ReturnMapError(RuntimeError):
+    """Raised when a trajectory has too few local maxima to form a return map."""
+
+
 @dataclass(frozen=True)
 class ScalingVector:
     """Per-component standard deviations used to scale errors."""
@@ -258,7 +262,7 @@ def extract_return_map(series: TimeSeries, component: int, window: float = 1000.
             continue  # not enough samples for the 5-point stencil
         maxima.append(_refine_maximum(x[m - 2 : m + 3]))
     if len(maxima) < 2:
-        raise ValueError(
+        raise ReturnMapError(
             f"found {len(maxima)} local maxima in {window} time units; need at least 2"
         )
     return ReturnMap(np.array(maxima))

@@ -100,6 +100,12 @@ def test_resolve_config_type_strictness(tmp_path):
         ({"task": "infer-lorenz", "observed": [0, 7]}, "observed"),
         ({"task": "infer-lorenz", "observed": [True, 1]}, "observed"),
         ({"task": "infer-lorenz", "observed": [1, 1]}, "observed"),
+        ({"task": "forecast-lorenz", "transient_time": 0}, "transient_time"),
+        ({"task": "forecast-lorenz", "uss_segments": 0}, "uss_segments"),
+        # fewer samples than one delay window (plus a target for forecasters)
+        ({"task": "forecast-lorenz", "train_points": 2}, "train_points"),
+        ({"task": "infer-lorenz", "test_points": 5}, "test_points"),
+        ({"task": "noise-lorenz", "train_points": 1}, "train_points"),
     ]
     for i, (doc, field) in enumerate(cases):
         with pytest.raises(ConfigError, match=field):
@@ -136,11 +142,12 @@ def test_main_validate_subcommand(tmp_path, capsys):
 
 
 def test_main_run_complexity_writes_artifacts(tmp_path, capsys):
-    config = write_config(tmp_path, {"task": "complexity"})
     out = tmp_path / "out"
-    assert main(["run", config, "--out", str(out)]) == 0
+    assert main(["run", str(ROOT / "configs" / "complexity.json"), "--out", str(out)]) == 0
     capsys.readouterr()
 
+    tracked = ROOT / "runs" / "complexity" / "summary.json"
+    assert (out / "summary.json").read_bytes() == tracked.read_bytes()
     summary = json.loads((out / "summary.json").read_text())
     resolved = json.loads((out / "resolved-config.json").read_text())
     assert resolved == {"task": "complexity", "seed": 0}
@@ -237,6 +244,31 @@ def test_run_forecast_summary_is_finite_and_complete(tmp_path):
     assert ranked and all({"feature", "weight", "output"} <= set(r) for r in ranked)
     magnitudes = [abs(r["weight"]) for r in ranked]
     assert magnitudes == sorted(magnitudes, reverse=True)
+
+
+def test_run_forecast_segments_share_one_loop(tmp_path):
+    config = write_config(tmp_path, reduced_forecast_config(uss_segments=3))
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert len(summary["valid_times"]) == 3
+    assert summary["valid_times"][0] == summary["valid_time_lyapunov"]
+    assert all(entry["segments_converged"] <= 3 for entry in summary["uss"])
+
+
+def test_main_reports_data_dependent_failures_as_numerical(tmp_path, capsys):
+    # a diverged forecast has no maxima for the return map; a two-node
+    # reservoir with one link is nilpotent and cannot be rescaled
+    cases = [
+        ({"task": "forecast-lorenz", "dt": 0.1, "train_points": 120, "uss_segments": 1},
+         "return map"),
+        ({"task": "baseline-rc", "n_nodes": 2, "sigma_r": 0.25, "seed": 1},
+         "reservoir run"),
+    ]
+    for i, (doc, stage) in enumerate(cases):
+        config = write_config(tmp_path, doc, f"case{i}.json")
+        assert main(["run", config, "--out", str(tmp_path / str(i)), "--quiet"]) == 3
+        assert f"stage '{stage}'" in capsys.readouterr().err
 
 
 def _runner_raising(error):

@@ -9,6 +9,7 @@ from ngrc import (
     NgrcModel,
     ReadoutMatrix,
     ReturnMap,
+    ReturnMapError,
     ScalingVector,
     TimeSeries,
     double_scroll,
@@ -208,7 +209,7 @@ def test_extract_return_map_on_cosine():
 
 def test_extract_return_map_needs_two_maxima():
     series = TimeSeries(dt=0.1, values=np.arange(50.0)[:, None])
-    with pytest.raises(ValueError):
+    with pytest.raises(ReturnMapError):
         extract_return_map(series, component=0, window=5.0)
 
 
