@@ -64,7 +64,6 @@ from .verify import (
     ReturnMapError,
     ScalingVector,
     UssEntry,
-    UssReport,
     estimate_model_uss,
     extract_return_map,
     instantaneous_nrmse,
@@ -97,7 +96,6 @@ __all__ = [
     "TimeSeries",
     "TrainingBlock",
     "UssEntry",
-    "UssReport",
     "WarmupError",
     "build_reservoir",
     "double_scroll",

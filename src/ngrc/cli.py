@@ -321,6 +321,11 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
                         errors.append(f"{key}: need at least {need} samples for the "
                                       f"delay window of k={spec.k}, s={spec.s}, "
                                       f"got {settings[key]}")
+    # Two refined maxima need two 5-point stencils whose centres are 2 apart.
+    window, dt = settings.get("return_map_window", 0.0), settings.get("dt")
+    if window > 0 and round(window / dt) < 7:
+        errors.append(f"return_map_window: must be 0 (no return map) or span at least "
+                      f"7 samples of dt={dt}, got {window!r}")
     if errors:
         raise ConfigError(errors)
     return config
@@ -422,8 +427,8 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
         test_nrmse = verify.nrmse(pred_test.segment(0, n_nrmse),
                                   truth_test.segment(0, n_nrmse), scaling)
         uss_doc = []
-        for j, entry in enumerate(reports[0].entries):
-            dists = [d for d in (r.distances()[j] for r in reports) if d is not None]
+        for j, entry in enumerate(reports[0]):
+            dists = [d for d in (r[j].scaled_distance for r in reports) if d is not None]
             uss_doc.append({
                 "true_state": [float(v) for v in entry.true_state],
                 "estimated_state": None if entry.estimated_state is None

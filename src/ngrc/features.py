@@ -10,7 +10,13 @@ with each degree block enumerated by the non-decreasing exponent tuples of
 :func:`monomial_exponent_table`. Every trained readout matrix is laid out
 against this ordering.
 
-:func:`total_features` is the only code that builds monomials. It maps one
+One cached, read-only index table decides that layout: row j lists the
+``pmax`` entries of ``ext = [1.0, constant_value, lin...]`` whose product is
+feature j. The constant is ``(1, 0, ...)``, linear entry a is
+``(2 + a, 0, ...)``, and each monomial is its exponent tuple shifted by 2
+and padded with 0 (the 1.0). The feature count and names come from it too.
+
+:func:`total_features` is the only code that builds features. It maps one
 linear block, or a batch of them stacked as columns, to the full features;
 training (:func:`feature_block`), the closed-loop rollout and the learned
 fixed point all go through it, so they see the same vector bit for bit.
@@ -21,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -76,27 +81,21 @@ class FeatureSpec:
         """First sample index with a fully populated delay window."""
         return (self.k - 1) * self.s
 
-    def exponent_tables(self) -> dict[int, np.ndarray]:
-        """Exponent-index table for each nonlinear degree (cached)."""
-        return {p: _exponent_array(self.n_linear, p) for p in self.degrees}
-
 
 @lru_cache(maxsize=128)
-def _exponent_array(n_vars: int, p: int) -> np.ndarray:
-    return np.array(monomial_exponent_table(n_vars, p), dtype=np.intp)
+def _layout(spec: FeatureSpec) -> np.ndarray:
+    """The (n_features, pmax) layout table; see the module docstring."""
+    n, pmax = spec.n_linear, max(spec.degrees, default=1)
+    rows = [(1,)] * spec.include_constant + [(2 + a,) for a in range(n)]
+    rows += [tuple(2 + a for a in t) for p in spec.degrees for t in monomial_exponent_table(n, p)]
+    table = np.array([row + (0,) * (pmax - len(row)) for row in rows], dtype=np.intp)
+    table.flags.writeable = False
+    return table
 
 
 def feature_length(spec: FeatureSpec) -> int:
-    """Total feature-vector length, computed without building any features.
-
-    The linear block has d*k entries and each degree-p block has
-    C(d*k + p - 1, p) unique monomials (combinations with repetition).
-    """
-    n = spec.n_linear
-    total = int(spec.include_constant) + n
-    for p in spec.degrees:
-        total += comb(n + p - 1, p)
-    return total
+    """Total feature-vector length: the rows of the layout table."""
+    return _layout(spec).shape[0]
 
 
 def monomial_exponent_table(n_vars: int, p: int) -> list[tuple[int, ...]]:
@@ -125,14 +124,9 @@ def total_features(lin: np.ndarray, spec: FeatureSpec) -> np.ndarray:
         raise ValueError(
             f"linear block has shape {lin.shape}, spec needs {spec.n_linear} = d*k rows"
         )
-    parts = []
-    if spec.include_constant:
-        parts.append(np.full((1, *lin.shape[1:]), spec.constant_value))
-    parts.append(lin)
-    tables = spec.exponent_tables()
-    for p in spec.degrees:
-        parts.append(np.prod(lin[tables[p]], axis=1))
-    return np.concatenate(parts)
+    ext = np.empty((spec.n_linear + 2, *lin.shape[1:]))
+    ext[0], ext[1], ext[2:] = 1.0, spec.constant_value, lin
+    return np.prod(ext[_layout(spec)], axis=1)
 
 
 def feature_block(series: TimeSeries, spec: FeatureSpec, indices) -> np.ndarray:
@@ -169,16 +163,7 @@ def feature_names(spec: FeatureSpec, components: list[str] | None = None) -> lis
         components = [f"x{c}" for c in range(spec.d)]
     if len(components) != spec.d:
         raise ValueError(f"need {spec.d} component names, got {len(components)}")
-    lin_names = []
-    for j in range(spec.k):
-        lag = j * spec.s
-        suffix = "[t]" if lag == 0 else f"[t-{lag}]"
-        lin_names.extend(name + suffix for name in components)
-    names = []
-    if spec.include_constant:
-        names.append("const")
-    names.extend(lin_names)
-    for p in spec.degrees:
-        for tup in monomial_exponent_table(spec.n_linear, p):
-            names.append("*".join(lin_names[a] for a in tup))
-    return names
+    lin_names = [name + ("[t]" if j == 0 else f"[t-{j * spec.s}]")
+                 for j in range(spec.k) for name in components]
+    labels = ["", "const", *lin_names]
+    return ["*".join(labels[i] for i in row if i) for row in _layout(spec)]

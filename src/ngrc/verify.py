@@ -74,14 +74,6 @@ class UssEntry:
     scaled_distance: float | None
 
 
-@dataclass(frozen=True)
-class UssReport:
-    entries: tuple[UssEntry, ...]
-
-    def distances(self) -> list[float | None]:
-        return [e.scaled_distance for e in self.entries]
-
-
 def _check_shapes(predicted: TimeSeries, truth: TimeSeries, scaling: ScalingVector):
     if predicted.values.shape != truth.values.shape:
         raise ValueError(
@@ -231,7 +223,7 @@ def _residual_jacobian(model: NgrcModel, state: np.ndarray, h: float = 1e-6) -> 
     return jac
 
 
-def uss_report(model: NgrcModel, true_states, scaling: ScalingVector) -> UssReport:
+def uss_report(model: NgrcModel, true_states, scaling: ScalingVector) -> tuple[UssEntry, ...]:
     """Compare each true steady state with the model fixed point seeded at it."""
     estimates = estimate_model_uss(model, true_states)
     entries = []
@@ -242,7 +234,7 @@ def uss_report(model: NgrcModel, true_states, scaling: ScalingVector) -> UssRepo
         else:
             dist = float(np.linalg.norm((est - true_state) / scaling.values))
             entries.append(UssEntry(true_state, est, dist))
-    return UssReport(tuple(entries))
+    return tuple(entries)
 
 
 def extract_return_map(series: TimeSeries, component: int, window: float = 1000.0) -> ReturnMap:

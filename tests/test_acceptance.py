@@ -121,10 +121,11 @@ def test_lorenz_steady_states_recovered_within_two_percent(lorenz_task):
         for j in range(N_SEGMENTS):
             report = uss_report(lorenz_task.segment_model(j), true_states,
                                 lorenz_task.scaling)
-            for slot, dist in zip(per_state, report.distances()):
+            for slot, entry in zip(per_state, report):
+                dist = entry.scaled_distance
                 if dist is not None:
                     slot.append(dist)
-    for entry, dists in zip(canonical.entries, per_state):
+    for entry, dists in zip(canonical, per_state):
         label = np.round(entry.true_state, 2).tolist()
         print(f"steady state {label}: scaled distance {entry.scaled_distance:.3e} "
               f"(dispersion over {len(dists)} converged segments: "
@@ -138,7 +139,7 @@ def test_double_scroll_steady_states_origin_exact_pair_close(ds_task):
     with budget(30.0, "double-scroll steady-state benchmark"):
         true_states = solve_double_scroll_uss()
         report = uss_report(ds_task.model, true_states, ds_task.scaling)
-    distances = report.distances()
+    distances = [entry.scaled_distance for entry in report]
     print(f"origin scaled distance: {distances[0]:.3e} (< 1e-12)")
     print(f"symmetric pair scaled distances: {distances[1]:.3e}, "
           f"{distances[2]:.3e} (< 2e-2)")

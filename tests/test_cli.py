@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ngrc.cli
-from ngrc import CostParams, IntegrationError, estimate_cost
+from ngrc import CostParams, IntegrationError, estimate_cost, feature_names, load_model
 from ngrc.cli import (
     TASK_DEFAULTS,
     TASKS,
@@ -106,6 +106,10 @@ def test_resolve_config_type_strictness(tmp_path):
         ({"task": "forecast-lorenz", "train_points": 2}, "train_points"),
         ({"task": "infer-lorenz", "test_points": 5}, "test_points"),
         ({"task": "noise-lorenz", "train_points": 1}, "train_points"),
+        # a return map needs two refined maxima: at least 7 samples
+        ({"task": "forecast-lorenz", "return_map_window": 0.01}, "return_map_window"),
+        ({"task": "forecast-lorenz", "return_map_window": 0.1}, "return_map_window"),
+        ({"task": "forecast-lorenz", "return_map_window": 0.15}, "return_map_window"),
     ]
     for i, (doc, field) in enumerate(cases):
         with pytest.raises(ConfigError, match=field):
@@ -119,6 +123,20 @@ def test_canonical_configs_resolve_to_tracked_provenance(task):
     tracked = json.loads((ROOT / "runs" / task / "resolved-config.json").read_text())
     assert resolve_config(json.loads(path.read_text())).to_document() == tracked
     assert main(["validate", str(path), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("task", ["forecast-lorenz", "forecast-doublescroll", "infer-lorenz"])
+def test_tracked_readout_labels_match_feature_layout(task):
+    # every ranked (output, feature, weight) entry of a tracked run must sit
+    # at the column that the current feature_names gives its label
+    model = load_model(ROOT / "runs" / task / "model.json")
+    summary = json.loads((ROOT / "runs" / task / "summary.json").read_text())
+    components = ngrc.cli._COMPONENT_NAMES[ngrc.cli._TASK_SYSTEM[task]]
+    names = feature_names(model.spec, [components[i] for i in model.input_indices])
+    weights = model.readout.weights
+    assert len(summary["readout_ranked"]) == weights.size
+    for e in summary["readout_ranked"]:
+        assert weights[e["output"], names.index(e["feature"])] == e["weight"]
 
 
 def test_validate_config_file_errors(tmp_path):

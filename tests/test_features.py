@@ -213,12 +213,43 @@ def test_feature_names_shape_and_uniqueness():
     assert names[7] == "x[t]*x[t]"
 
 
-def test_exponent_tables_keyed_by_degree():
-    spec = FeatureSpec(d=2, k=2, s=1, degrees=(2, 3))
-    tables = spec.exponent_tables()
-    assert sorted(tables) == [2, 3]
-    assert len(tables[2]) == math.comb(5, 2)
-    assert len(tables[3]) == math.comb(6, 3)
+def reference_features(lin, spec):
+    """The feature vector from explicit products, without the kernel's table."""
+    features = [spec.constant_value] if spec.include_constant else []
+    features += [float(v) for v in lin]
+    for p in spec.degrees:
+        for combo in combinations_with_replacement(range(spec.n_linear), p):
+            features.append(math.prod(float(lin[a]) for a in combo))
+    return np.array(features)
+
+
+@st.composite
+def valued_specs(draw):
+    constant = draw(st.floats(-1e3, 1e3, allow_nan=False))
+    return replace(draw(specs()), constant_value=constant)
+
+
+@given(spec=valued_specs(), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_total_features_matches_explicit_products(spec, n, seed):
+    block = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(spec.n_linear, n))
+    expected = np.column_stack([reference_features(block[:, j], spec) for j in range(n)])
+    assert np.array_equal(total_features(block[:, 0], spec), expected[:, 0])
+    assert np.array_equal(total_features(block, spec), expected)
+
+
+@given(spec=valued_specs(), seed=st.integers(0, 2**32 - 1))
+def test_feature_names_name_the_factors_of_each_value(spec, seed):
+    lin = np.random.default_rng(seed).uniform(-3.0, 3.0, size=spec.n_linear)
+    # label of each linear entry: component c delayed by j*s samples
+    value_of = {"const": spec.constant_value}
+    for j in range(spec.k):
+        for c in range(spec.d):
+            value_of[f"x{c}[t]" if j == 0 else f"x{c}[t-{j * spec.s}]"] = lin[j * spec.d + c]
+    names = feature_names(spec)
+    values = total_features(lin, spec)
+    assert len(names) == len(values) == len(set(names))
+    for name, value in zip(names, values):
+        assert math.prod(value_of[factor] for factor in name.split("*")) == value
 
 
 def test_spec_validation_errors():

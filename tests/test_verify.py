@@ -12,6 +12,7 @@ from ngrc import (
     ReturnMapError,
     ScalingVector,
     TimeSeries,
+    UssEntry,
     double_scroll,
     estimate_model_uss,
     extract_return_map,
@@ -189,11 +190,12 @@ def test_uss_report_structure():
     model = scalar_map_model([0.5, -0.5])
     scaling = ScalingVector(np.array([2.0]))
     report = uss_report(model, [np.array([1.1]), np.array([0.9])], scaling)
-    assert len(report.entries) == 2
-    for entry in report.entries:
+    assert len(report) == 2
+    for entry in report:
         assert entry.scaled_distance == pytest.approx(
             abs(entry.true_state[0] - 1.0) / 2.0, abs=1e-7)
-    assert report.distances() == [e.scaled_distance for e in report.entries]
+    assert isinstance(report, tuple)
+    assert all(isinstance(entry, UssEntry) for entry in report)
 
 
 def test_extract_return_map_on_cosine():
