@@ -5,7 +5,13 @@ sampled onto the uniform dt grid through its dense output: Bogacki-Shampine
 3(2) ("RK23", the default) or Dormand-Prince 8(5,3) ("DOP853"). RK23 at a
 loose tolerance gives the sampling jitter that the forecast tasks'
 regularization is tuned to; at rtol 1e-8 DOP853 needs about a tenth of
-RK23's RHS evaluations on the Lorenz system. Noise-driven trajectories use a
+RK23's RHS evaluations on the Lorenz system.
+
+RK23 runs in this module's own stepping loop, ``_rk23``. It repeats
+``scipy.integrate.solve_ivp(method="RK23", t_eval=grid)`` bit for bit: the
+same tableau, step controller and array expressions, and the same sequence
+of RHS calls, without the solver objects around them. DOP853 is stepped by
+``solve_ivp`` itself. Noise-driven trajectories use a
 fixed-substep second-order scheme with a piecewise constant Gaussian
 forcing, scaled so the integrated forcing has the requested RMS per unit
 time; independent noise paths are stepped together as one ensemble.
@@ -13,6 +19,8 @@ time; independent noise paths are stepped together as one ensemble.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,15 +66,18 @@ class IntegrationConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.rtol <= 0 or self.atol <= 0:
             raise ValueError("integration tolerances must be positive")
-        if self.t_span[1] <= self.t_span[0]:
-            raise ValueError(f"empty time span {self.t_span}")
+        if not round((self.t_span[1] - self.t_span[0]) / self.dt) >= 1:
+            raise ValueError(f"time span {self.t_span} holds no step of dt = {self.dt}")
         if self.noise_rms < 0:
             raise ValueError(f"noise_rms must be nonnegative, got {self.noise_rms}")
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        object.__setattr__(self, "initial_state", np.asarray(self.initial_state, dtype=float))
+        state = np.asarray(self.initial_state, dtype=float)
+        if state.ndim != 1 or not np.all(np.isfinite(state)):
+            raise ValueError(f"initial_state must be a finite 1-D vector, got {state}")
+        object.__setattr__(self, "initial_state", state)
 
     def grid(self) -> np.ndarray:
         """The sample times t0 + m*dt covering the span (exact arithmetic)."""
@@ -125,6 +136,130 @@ def get_system(name: str) -> SystemDef:
     return factories[name]()
 
 
+# Bogacki-Shampine 3(2) tableau and dense-output matrix, as in
+# scipy.integrate.RK23. The stage nodes are not needed: every vector field
+# here is autonomous.
+_RK23_A = np.array([
+    [0, 0, 0],
+    [1/2, 0, 0],
+    [0, 3/4, 0]
+])
+_RK23_B = np.array([2/9, 1/3, 4/9])
+_RK23_E = np.array([5/72, -1/12, -1/9, 1/8])
+_RK23_P = np.array([[1, -4 / 3, 5 / 9],
+                    [0, 1, -2/3],
+                    [0, 4/3, -8/9],
+                    [0, -1, 1]])
+# scipy's step controller: safety factor, step-change bounds, the exponent
+# -1/(q + 1) for the error estimator's order q = 2, and scipy's rtol floor.
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 10
+_ERROR_EXPONENT = -1 / 3
+_MIN_RTOL = 100 * np.finfo(float).eps
+
+
+def _rms(x: np.ndarray) -> float:
+    """scipy's RMS norm: the same dot product and correctly rounded roots."""
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
+def _rk23_initial_step(rhs, y0, f0, interval, rtol, atol) -> float:
+    """scipy's ``select_initial_step`` for RK23 (one RHS call)."""
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    f1 = rhs(y0 + h0 * f0)
+    d2 = _rms((f1 - f0) / scale) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 3)
+    return min(100 * h0, h1, interval)
+
+
+def _rk23(rhs, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float) -> np.ndarray:
+    """RK23 from grid[0] to grid[-1], its dense output sampled on grid.
+
+    Returns the (len(grid), dim) values that
+    ``solve_ivp(lambda t, y: rhs(y), (grid[0], grid[-1]), y0, method="RK23",
+    t_eval=grid, rtol=rtol, atol=atol)`` returns transposed, bit for bit, with
+    the same RHS calls: one for f0, one for the initial step, three per
+    attempted step. Every array expression that combines more than one term
+    is scipy's, with the same operands and shapes; only the solver objects,
+    the norm's call path, the interpolant's ``tile``/``cumprod`` and the
+    per-step ``searchsorted`` are replaced.
+    """
+    times = grid.tolist()
+    t, t_end = times[0], times[-1]
+    rtol = max(rtol, _MIN_RTOL)
+    out = np.empty((len(times), y0.size))
+    y = y0
+    f = rhs(y)
+    if not np.all(np.isfinite(f)):
+        # A NaN here makes scipy's first step size NaN, and it never returns.
+        raise IntegrationError(f"RK23: the vector field is not finite at t = {t!r}")
+    h_abs = _rk23_initial_step(rhs, y, f, t_end - t, rtol, atol)
+    # K holds the stages in rows; scipy combines them through these views.
+    K = np.empty((4, y0.size))
+    KT, K1T, K2T, K3T = K.T, K[:1].T, K[:2].T, K[:-1].T
+    a1, a2 = _RK23_A[1, :1], _RK23_A[2, :2]
+    sampled = 0
+    while t < t_end:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"RK23 step size fell below the float spacing at t = {t!r}")
+            t_new = min(t + h_abs, t_end)
+            h = t_new - t
+            h_abs = abs(h)
+            K[0] = f
+            K[1] = rhs(y + np.dot(K1T, a1) * h)
+            K[2] = rhs(y + np.dot(K2T, a2) * h)
+            y_new = y + h * np.dot(K3T, _RK23_B)
+            f_new = rhs(y_new)
+            K[3] = f_new
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            error_norm = _rms(np.dot(KT, _RK23_E) * h / scale)
+            if error_norm < 1:
+                if error_norm == 0:
+                    factor = _MAX_FACTOR
+                else:
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                if rejected:
+                    factor = min(1, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            rejected = True
+        t_old, y_old = t, y
+        t, y, f = t_new, y_new, f_new
+        stop = bisect_right(times, t, sampled)
+        if stop > sampled:
+            # Cubic Hermite interpolant on [t_old, t]: powers x, x^2, x^3 of
+            # the normalized time, associated as cumprod forms them.
+            Q = KT.dot(_RK23_P)
+            h_step = t - t_old
+            x = (grid[sampled:stop] - t_old) / h_step
+            p = np.empty((3, x.size))
+            p[0] = x
+            np.multiply(x, x, out=p[1])
+            np.multiply(p[1], x, out=p[2])
+            y_dense = h_step * np.dot(Q, p)
+            y_dense += y_old[:, None]
+            out[sampled:stop] = y_dense.T
+            sampled = stop
+    return out
+
+
 def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     """Deterministic trajectory sampled on the uniform dt grid.
 
@@ -133,18 +268,22 @@ def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     """
     grid = config.grid()
     rhs = system.rhs
-    sol = solve_ivp(
-        lambda t, y: rhs(y),
-        (grid[0], grid[-1]),
-        config.initial_state,
-        method=config.method,
-        t_eval=grid,
-        rtol=config.rtol,
-        atol=config.atol,
-    )
-    if not sol.success:
-        raise IntegrationError(f"integration of {system.name} failed: {sol.message}")
-    return TimeSeries(dt=config.dt, values=sol.y.T.copy(), t0=float(grid[0]))
+    if config.method == "RK23":
+        values = _rk23(rhs, grid, config.initial_state, config.rtol, config.atol)
+    else:
+        sol = solve_ivp(
+            lambda t, y: rhs(y),
+            (grid[0], grid[-1]),
+            config.initial_state,
+            method=config.method,
+            t_eval=grid,
+            rtol=config.rtol,
+            atol=config.atol,
+        )
+        if not sol.success:
+            raise IntegrationError(f"integration of {system.name} failed: {sol.message}")
+        values = sol.y.T.copy()
+    return TimeSeries(dt=config.dt, values=values, t0=float(grid[0]))
 
 
 def integrate_noisy(system: SystemDef, config: IntegrationConfig,
@@ -166,6 +305,9 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
     (dim, paths) state; the RHS acts elementwise on each column, so every
     path is bit-identical to a run of its own. The forcing is drawn one dt
     interval at a time, which keeps memory flat in the run length.
+
+    Raises IntegrationError, naming the first path and sample time, as soon
+    as a sample of any path is not finite.
     """
     if config.seed is None:
         raise ValueError("integrate_noisy requires a seed for reproducibility")
@@ -188,6 +330,11 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
             k2 = rhs(state + h * k1) + xi
             state = state + 0.5 * h * (k1 + k2)
         values[m] = state
+        diverged = np.flatnonzero(~np.isfinite(state).all(axis=0))
+        if diverged.size:
+            raise IntegrationError(
+                f"noisy path {diverged[0]} of {system.name} is not finite "
+                f"at t = {grid[m]:g}")
     return [TimeSeries(dt=config.dt, values=values[:, :, i], t0=float(grid[0]))
             for i in range(paths)]
 

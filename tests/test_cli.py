@@ -327,3 +327,16 @@ def test_noise_seeds_draw_independent_noise(tmp_path):
                                  "out_dir": str(tmp_path / str(seed))})
         values.append(ngrc.cli.run_experiment(config)["scaled_rmse_values"])
     assert len(set(values[0]) | set(values[1])) == 8
+
+
+def test_main_reports_a_diverging_noisy_ensemble_as_numerical(tmp_path, capsys):
+    # forcing of RMS 1e3 per unit time blows the Heun paths up within a few
+    # samples; the loose tolerance only shortens the reference trajectory
+    doc = {"task": "noise-lorenz", "noise_rms": 1e3, "repeats": 2, "rtol": 1e-3, "atol": 1e-6}
+    config = write_config(tmp_path, doc)
+    assert main(["validate", config, "--quiet"]) == 0
+    with np.errstate(all="ignore"):
+        assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "stage 'noisy training and forecast': noisy path" in err
+    assert "of lorenz63 is not finite at t = " in err

@@ -1,10 +1,12 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from ngrc import (
     IntegrationError,
@@ -16,6 +18,8 @@ from ngrc import (
     on_attractor_state,
 )
 from ngrc.systems import DOUBLE_SCROLL_PARAMS, IntegrationConfig
+
+RUNS = Path(__file__).resolve().parent.parent / "runs"
 
 
 def lorenz_rhs_by_hand(state):
@@ -164,10 +168,26 @@ def test_integration_config_validation():
 
 def test_integrate_rejects_nonfinite_initial_state():
     system = lorenz63()
-    config = IntegrationConfig(dt=0.1, t_span=(0.0, 1.0),
-                               initial_state=np.array([np.nan, 0.0, 0.0]))
     with pytest.raises((ValueError, IntegrationError)):
+        config = IntegrationConfig(dt=0.1, t_span=(0.0, 1.0),
+                                   initial_state=np.array([np.nan, 0.0, 0.0]))
         integrate(system, config)
+
+
+def test_integration_config_needs_one_step():
+    with pytest.raises(ValueError, match="no step"):
+        IntegrationConfig(dt=0.1, t_span=(0.0, 0.04), initial_state=np.ones(3))
+    config = IntegrationConfig(dt=0.1, t_span=(0.0, 0.06), initial_state=np.ones(3))
+    assert np.array_equal(config.grid(), [0.0, 0.1])
+
+
+@pytest.mark.parametrize("state", [[np.nan, 0.0, 0.0], [0.0, np.inf, 0.0],
+                                   [0.0, 0.0, -np.inf], [[1.0, 2.0, 3.0]]])
+def test_integration_config_rejects_bad_initial_state(state):
+    # one check at construction covers RK23, DOP853 and the noisy ensemble
+    for kw in (dict(), dict(method="DOP853"), dict(seed=0, noise_rms=1.0)):
+        with pytest.raises(ValueError, match="initial_state"):
+            IntegrationConfig(dt=0.1, t_span=(0.0, 1.0), initial_state=np.array(state), **kw)
 
 
 def test_dop853_needs_fewer_rhs_evaluations_at_tight_tolerance():
@@ -237,3 +257,97 @@ def test_integrate_noisy_rejects_empty_ensemble():
                                seed=0, noise_rms=1.0)
     with pytest.raises(ValueError, match="paths"):
         integrate_noisy(lorenz63(), config, paths=0)
+
+
+def test_integrate_noisy_names_the_first_diverging_path():
+    system = lorenz63()
+    config = IntegrationConfig(dt=0.025, t_span=(0.0, 2.0), initial_state=np.ones(3),
+                               seed=0, noise_rms=1e3)
+    children = np.random.SeedSequence(0).spawn(3)
+    with np.errstate(all="ignore"):
+        finite = [np.isfinite(heun_path_by_hand(system, config, c)).all(axis=1)
+                  for c in children]
+    first_bad = [int(np.argmin(f)) if not f.all() else len(f) for f in finite]
+    path = int(np.argmin(first_bad))
+    assert 0 < first_bad[path] < len(config.grid())
+    time = config.grid()[first_bad[path]]
+    with np.errstate(all="ignore"), pytest.raises(IntegrationError) as err:
+        integrate_noisy(system, config, paths=3)
+    assert str(err.value) == f"noisy path {path} of lorenz63 is not finite at t = {time:g}"
+
+
+def counted(rhs, finite_calls=math.inf):
+    """``rhs`` counting its calls in ``.calls``; NaN after ``finite_calls`` calls."""
+    def wrapper(state):
+        wrapper.calls += 1
+        return rhs(state) if wrapper.calls <= finite_calls else np.full(len(state), np.nan)
+    wrapper.calls = 0
+    return wrapper
+
+
+def rk23_by_solve_ivp(rhs, config):
+    """scipy's RK23 on the config's grid, with the number of calls of ``rhs``."""
+    grid = config.grid()
+    sol = solve_ivp(lambda t, y: rhs(y), (grid[0], grid[-1]), config.initial_state,
+                    method="RK23", t_eval=grid, rtol=config.rtol, atol=config.atol)
+    return sol, rhs.calls
+
+
+@settings(max_examples=20)
+@example(factory=lorenz63, dt=0.01, tolerances=(1e-3, 1e-6), t0=0.0, stretch=1.0, offset=0.0)
+@example(factory=lorenz63, dt=0.025, tolerances=(1e-8, 1e-10), t0=37.5, stretch=0.77,
+         offset=0.1)
+@example(factory=double_scroll, dt=0.25, tolerances=(1e-8, 1e-10), t0=99.9, stretch=1.0,
+         offset=-0.3)
+@given(factory=st.sampled_from([lorenz63, double_scroll]),
+       dt=st.sampled_from([0.01, 0.025, 0.05, 0.25]),
+       tolerances=st.sampled_from([(1e-3, 1e-6), (1e-8, 1e-10)]),
+       t0=st.floats(0.0, 100.0),
+       stretch=st.floats(0.0, 1.0),
+       offset=st.floats(-0.5, 0.5))
+def test_rk23_stepper_matches_solve_ivp_bit_for_bit(factory, dt, tolerances, t0, stretch,
+                                                   offset):
+    # log-uniform spans from a single step (0.6 dt) up to 30 time units,
+    # most not a whole number of dt steps
+    system = factory()
+    start = {"lorenz63": (-5.0, 4.0, 25.0), "double_scroll": (0.5, -0.2, 1.0)}[system.name]
+    span = 0.6 * dt * (30.0 / (0.6 * dt)) ** stretch
+    rtol, atol = tolerances
+    config = IntegrationConfig(dt=dt, t_span=(t0, t0 + span),
+                               initial_state=np.array(start) + offset, rtol=rtol, atol=atol)
+    rhs = counted(system.rhs)
+    series = integrate(dataclasses.replace(system, rhs=rhs), config)
+    sol, oracle_calls = rk23_by_solve_ivp(counted(system.rhs), config)
+    assert sol.success
+    assert np.array_equal(series.values, sol.y.T)
+    assert rhs.calls == oracle_calls
+
+
+def test_rk23_stepper_raises_when_the_field_turns_nan():
+    config = IntegrationConfig(dt=0.025, t_span=(0.0, 5.0),
+                               initial_state=np.array([-5.0, 4.0, 25.0]), rtol=1e-3, atol=1e-6)
+    rhs = counted(lorenz_rhs_by_hand, finite_calls=300)
+    with pytest.raises(IntegrationError, match="step size"):
+        integrate(dataclasses.replace(lorenz63(), rhs=rhs), config)
+    # scipy gives up at the same call
+    sol, oracle_calls = rk23_by_solve_ivp(counted(lorenz_rhs_by_hand, finite_calls=300), config)
+    assert sol.status == -1
+    assert rhs.calls == oracle_calls
+
+    at_start = dataclasses.replace(lorenz63(), rhs=counted(lorenz_rhs_by_hand, finite_calls=0))
+    with pytest.raises(IntegrationError, match="not finite"):
+        integrate(at_start, config)
+
+
+@pytest.mark.parametrize("task_name, run", [("lorenz_task", "forecast-lorenz"),
+                                            ("ds_task", "forecast-doublescroll")])
+def test_ground_truth_matches_tracked_runs(task_name, run, request):
+    # the session fixtures integrate the canonical trajectories; their
+    # training window and the test window after it are tracked bit-exact
+    task = request.getfixturevalue(task_name)
+    n_train = task.train.n_samples
+    for name, series in (("train", task.train),
+                         ("truth", task.mother.segment(n_train, n_train + task.n_test))):
+        tracked = np.loadtxt(RUNS / run / f"{name}.csv", delimiter=",")
+        assert np.array_equal(series.times, tracked[:, 0])
+        assert np.array_equal(series.values, tracked[:, 1:])
