@@ -32,6 +32,7 @@ from .model import (
 )
 from .regression import SingularSystemError
 from .systems import (
+    TRANSIENT_DT,
     IntegrationConfig,
     IntegrationError,
     SystemDef,
@@ -244,8 +245,11 @@ _RULES = {
                      "target"), _NONNEGATIVE),
     **dict.fromkeys(("k", "s", "train_points", "test_points", "n_nodes", "substeps",
                      "repeats", "segments", "uss_segments"), _AT_LEAST_ONE),
-    **dict.fromkeys(("dt", "transient_time", "rtol", "atol", "spectral_radius",
-                     "input_scale"), _POSITIVE),
+    **dict.fromkeys(("dt", "rtol", "atol", "spectral_radius", "input_scale"), _POSITIVE),
+    # the transient is integrated on its own dt grid, which must hold one step:
+    # round(v / dt) >= 1, as IntegrationConfig requires (NaN fails here too)
+    "transient_time": (lambda v: v / TRANSIENT_DT > 0.5,
+                       f"must hold at least one transient step of dt={TRANSIENT_DT}"),
     "gamma": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
     "sigma_r": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
     "activation": (lambda v: v in ("tanh", "linear"), "must be 'tanh' or 'linear'"),

@@ -7,14 +7,16 @@ loose tolerance gives the sampling jitter that the forecast tasks'
 regularization is tuned to; at rtol 1e-8 DOP853 needs about a tenth of
 RK23's RHS evaluations on the Lorenz system.
 
-RK23 runs in this module's own stepping loop, ``_rk23``. It repeats
-``scipy.integrate.solve_ivp(method="RK23", t_eval=grid)`` bit for bit: the
-same tableau, step controller and array expressions, and the same sequence
-of RHS calls, without the solver objects around them. DOP853 is stepped by
-``solve_ivp`` itself. Noise-driven trajectories use a
-fixed-substep second-order scheme with a piecewise constant Gaussian
-forcing, scaled so the integrated forcing has the requested RMS per unit
-time; independent noise paths are stepped together as one ensemble.
+Both pairs run in this module's own stepping loop, ``_runge_kutta``. It
+repeats ``scipy.integrate.solve_ivp(method=..., t_eval=grid)`` bit for bit:
+the same tableaus, step controller, initial-step rule and array
+expressions, and the same sequence of RHS calls, without the solver objects
+around them. Only the error norm and the dense output differ per pair.
+
+Noise-driven trajectories use a fixed-substep second-order scheme with a
+piecewise constant Gaussian forcing, scaled so the integrated forcing has
+the requested RMS per unit time; independent noise paths are stepped
+together as one ensemble.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
+from . import _dop853
 from .timeseries import TimeSeries
 
 
@@ -92,6 +94,8 @@ DOUBLE_SCROLL_PARAMS = {"r1": 1.2, "r2": 3.44, "r4": 0.193, "alpha": 11.6, "ir":
 
 # Pre-transient starting points for on-attractor initial conditions.
 _SEED_STATE = {"lorenz63": (1.0, 1.0, 1.0), "double_scroll": (0.1, 0.1, 0.1)}
+# The sampling step of that transient; only its last sample is kept.
+TRANSIENT_DT = 0.01
 
 
 def lorenz63_rhs(state) -> np.ndarray:
@@ -138,7 +142,7 @@ def get_system(name: str) -> SystemDef:
 
 # Bogacki-Shampine 3(2) tableau and dense-output matrix, as in
 # scipy.integrate.RK23. The stage nodes are not needed: every vector field
-# here is autonomous.
+# here is autonomous. The Dormand-Prince 8(5,3) tableau is in ``_dop853``.
 _RK23_A = np.array([
     [0, 0, 0],
     [1/2, 0, 0],
@@ -150,12 +154,10 @@ _RK23_P = np.array([[1, -4 / 3, 5 / 9],
                     [0, 1, -2/3],
                     [0, 4/3, -8/9],
                     [0, -1, 1]])
-# scipy's step controller: safety factor, step-change bounds, the exponent
-# -1/(q + 1) for the error estimator's order q = 2, and scipy's rtol floor.
+# scipy's step controller: safety factor, step-change bounds and rtol floor.
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
-_ERROR_EXPONENT = -1 / 3
 _MIN_RTOL = 100 * np.finfo(float).eps
 
 
@@ -164,8 +166,100 @@ def _rms(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _rk23_initial_step(rhs, y0, f0, interval, rtol, atol) -> float:
-    """scipy's ``select_initial_step`` for RK23 (one RHS call)."""
+def _rk23_error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """RMS of the embedded 2nd-order error estimate, relative to scale."""
+    return _rms(np.dot(KT, _RK23_E) * h / scale)
+
+
+def _rk23_dense(K, h, y_old, y, f, x) -> np.ndarray:
+    """Cubic Hermite interpolant of the step at normalized times x.
+
+    The powers x, x^2, x^3 are associated as scipy's ``cumprod`` forms them.
+    """
+    Q = K.T.dot(_RK23_P)
+    p = np.empty((3, x.size))
+    p[0] = x
+    np.multiply(x, x, out=p[1])
+    np.multiply(p[1], x, out=p[2])
+    y_dense = h * np.dot(Q, p)
+    y_dense += y_old[:, None]
+    return y_dense.T
+
+
+def _dop853_error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
+    """The 5th-order error estimate damped by the 3rd-order one, as in DOP853.
+
+    The squared norms are formed as scipy forms them, as the square of a
+    rounded square root, which is not always the dot product itself.
+    """
+    err5 = np.dot(KT, _dop853.E5) / scale
+    err3 = np.dot(KT, _dop853.E3) / scale
+    err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
+    err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
+    if err5_norm_2 == 0 and err3_norm_2 == 0:
+        return 0.0
+    denom = err5_norm_2 + 0.01 * err3_norm_2
+    return abs(h) * err5_norm_2 / math.sqrt(denom * scale.size)
+
+
+def _dop853_dense(K, h, y_old, y, f, x) -> np.ndarray:
+    """7th-degree interpolant of the step at normalized times x.
+
+    K must hold the three extra stages. Each value is scipy's nested product
+    of the rows of F, from the last, by x and 1 - x in turn; that is a chain
+    of scalar operations, so it runs on Python floats in scipy's order.
+    """
+    F = np.empty((_dop853.INTERPOLATOR_POWER, y.size))
+    f_old = K[0]
+    delta_y = y - y_old
+    F[0] = delta_y
+    F[1] = h * f_old - delta_y
+    F[2] = 2 * delta_y - h * (f + f_old)
+    F[3:] = h * np.dot(_dop853.D, K)
+    columns = F[::-1].T.tolist()
+    y_dense = np.array([[_nested_product(column, (xj, 1 - xj)) for column in columns]
+                        for xj in x.tolist()])
+    y_dense += y_old
+    return y_dense
+
+
+def _nested_product(coefficients, factors) -> float:
+    value = 0.0
+    for i, c in enumerate(coefficients):
+        value = (value + c) * factors[i % 2]
+    return value
+
+
+@dataclass(frozen=True)
+class _RungeKuttaPair:
+    """An embedded explicit Runge-Kutta pair with its dense output.
+
+    ``A`` holds the stage coefficients: ``stages`` rows for one step, then
+    any extra stages the dense output needs (row ``stages`` itself is the
+    slope at the new point). ``error_order`` is the order of the error
+    estimator. ``error_norm(K[:stages + 1].T, h, scale)`` decides acceptance;
+    ``dense(K, h, y_old, y, f, x)`` gives the (len(x), dim) values of the
+    step's interpolant at normalized times x.
+    """
+
+    name: str
+    A: np.ndarray
+    B: np.ndarray
+    stages: int
+    error_order: int
+    error_norm: Callable[[np.ndarray, float, np.ndarray], float]
+    dense: Callable[..., np.ndarray]
+
+
+_PAIRS = {
+    "RK23": _RungeKuttaPair("RK23", _RK23_A, _RK23_B, 3, 2, _rk23_error_norm, _rk23_dense),
+    "DOP853": _RungeKuttaPair("DOP853", _dop853.A, _dop853.B, _dop853.STAGES, 7,
+                              _dop853_error_norm, _dop853_dense),
+}
+
+
+def _initial_step(rhs, y0, f0, interval, rtol, atol, error_order) -> float:
+    """scipy's ``select_initial_step`` (one RHS call)."""
     scale = atol + np.abs(y0) * rtol
     d0 = _rms(y0 / scale)
     d1 = _rms(f0 / scale)
@@ -179,21 +273,26 @@ def _rk23_initial_step(rhs, y0, f0, interval, rtol, atol) -> float:
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** (1 / 3)
+        h1 = (0.01 / max(d1, d2)) ** (1 / (error_order + 1))
     return min(100 * h0, h1, interval)
 
 
-def _rk23(rhs, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float) -> np.ndarray:
-    """RK23 from grid[0] to grid[-1], its dense output sampled on grid.
+def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
+                 rtol: float, atol: float) -> np.ndarray:
+    """The pair stepped from grid[0] to grid[-1], its dense output sampled on grid.
 
     Returns the (len(grid), dim) values that
-    ``solve_ivp(lambda t, y: rhs(y), (grid[0], grid[-1]), y0, method="RK23",
+    ``solve_ivp(lambda t, y: rhs(y), (grid[0], grid[-1]), y0, method=pair.name,
     t_eval=grid, rtol=rtol, atol=atol)`` returns transposed, bit for bit, with
-    the same RHS calls: one for f0, one for the initial step, three per
-    attempted step. Every array expression that combines more than one term
-    is scipy's, with the same operands and shapes; only the solver objects,
-    the norm's call path, the interpolant's ``tile``/``cumprod`` and the
-    per-step ``searchsorted`` are replaced.
+    the same RHS calls: one for f0, one for the initial step, ``stages`` per
+    attempted step, and the dense output's extra stages (three for DOP853,
+    none for RK23) on each step that holds a grid point. Every array
+    expression that combines more than one term is scipy's, with the same
+    operands and shapes; only the solver objects, the norm's call path, the
+    interpolants' ``tile``/``cumprod`` and elementwise loops, and the
+    per-step ``searchsorted`` are replaced. Both pairs share this loop, its
+    step controller and its initial-step rule; they differ only in the
+    tableau, the error norm and the dense output.
     """
     times = grid.tolist()
     t, t_end = times[0], times[-1]
@@ -203,12 +302,16 @@ def _rk23(rhs, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float) -> np
     f = rhs(y)
     if not np.all(np.isfinite(f)):
         # A NaN here makes scipy's first step size NaN, and it never returns.
-        raise IntegrationError(f"RK23: the vector field is not finite at t = {t!r}")
-    h_abs = _rk23_initial_step(rhs, y, f, t_end - t, rtol, atol)
-    # K holds the stages in rows; scipy combines them through these views.
-    K = np.empty((4, y0.size))
-    KT, K1T, K2T, K3T = K.T, K[:1].T, K[:2].T, K[:-1].T
-    a1, a2 = _RK23_A[1, :1], _RK23_A[2, :2]
+        raise IntegrationError(f"{pair.name}: the vector field is not finite at t = {t!r}")
+    h_abs = _initial_step(rhs, y, f, t_end - t, rtol, atol, pair.error_order)
+    error_exponent = -1 / (pair.error_order + 1)
+    A, B, stages = pair.A, pair.B, pair.stages
+    # K holds the stages in rows, then the new slope, then the extra stages;
+    # scipy combines them through these views.
+    K = np.empty((max(len(A), stages + 1), y0.size))
+    step = [(s, K[:s].T, A[s, :s]) for s in range(1, stages)]
+    extra = [(s, K[:s].T, A[s, :s]) for s in range(stages + 1, len(A))]
+    BT, KT = K[:stages].T, K[:stages + 1].T
     sampled = 0
     while t < t_end:
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
@@ -217,45 +320,37 @@ def _rk23(rhs, grid: np.ndarray, y0: np.ndarray, rtol: float, atol: float) -> np
         while True:
             if h_abs < min_step:
                 raise IntegrationError(
-                    f"RK23 step size fell below the float spacing at t = {t!r}")
+                    f"{pair.name} step size fell below the float spacing at t = {t!r}")
             t_new = min(t + h_abs, t_end)
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
-            K[1] = rhs(y + np.dot(K1T, a1) * h)
-            K[2] = rhs(y + np.dot(K2T, a2) * h)
-            y_new = y + h * np.dot(K3T, _RK23_B)
+            for s, KsT, a in step:
+                K[s] = rhs(y + np.dot(KsT, a) * h)
+            y_new = y + h * np.dot(BT, B)
             f_new = rhs(y_new)
-            K[3] = f_new
+            K[stages] = f_new
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(np.dot(KT, _RK23_E) * h / scale)
+            error_norm = pair.error_norm(KT, h, scale)
             if error_norm < 1:
                 if error_norm == 0:
                     factor = _MAX_FACTOR
                 else:
-                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+                    factor = min(_MAX_FACTOR, _SAFETY * error_norm ** error_exponent)
                 if rejected:
                     factor = min(1, factor)
                 h_abs *= factor
                 break
-            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** _ERROR_EXPONENT)
+            h_abs *= max(_MIN_FACTOR, _SAFETY * error_norm ** error_exponent)
             rejected = True
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
         stop = bisect_right(times, t, sampled)
         if stop > sampled:
-            # Cubic Hermite interpolant on [t_old, t]: powers x, x^2, x^3 of
-            # the normalized time, associated as cumprod forms them.
-            Q = KT.dot(_RK23_P)
-            h_step = t - t_old
-            x = (grid[sampled:stop] - t_old) / h_step
-            p = np.empty((3, x.size))
-            p[0] = x
-            np.multiply(x, x, out=p[1])
-            np.multiply(p[1], x, out=p[2])
-            y_dense = h_step * np.dot(Q, p)
-            y_dense += y_old[:, None]
-            out[sampled:stop] = y_dense.T
+            for s, KsT, a in extra:
+                K[s] = rhs(y_old + np.dot(KsT, a) * h)
+            x = (grid[sampled:stop] - t_old) / h
+            out[sampled:stop] = pair.dense(K, h, y_old, y, f, x)
             sampled = stop
     return out
 
@@ -265,24 +360,12 @@ def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
 
     Adaptive stepping with ``config.method`` controls the local error at
     (rtol, atol); the dense solution is evaluated exactly at the grid times.
+    Raises IntegrationError if the field is not finite at the start or the
+    step size collapses.
     """
     grid = config.grid()
-    rhs = system.rhs
-    if config.method == "RK23":
-        values = _rk23(rhs, grid, config.initial_state, config.rtol, config.atol)
-    else:
-        sol = solve_ivp(
-            lambda t, y: rhs(y),
-            (grid[0], grid[-1]),
-            config.initial_state,
-            method=config.method,
-            t_eval=grid,
-            rtol=config.rtol,
-            atol=config.atol,
-        )
-        if not sol.success:
-            raise IntegrationError(f"integration of {system.name} failed: {sol.message}")
-        values = sol.y.T.copy()
+    values = _runge_kutta(_PAIRS[config.method], system.rhs, grid, config.initial_state,
+                          config.rtol, config.atol)
     return TimeSeries(dt=config.dt, values=values, t0=float(grid[0]))
 
 
@@ -323,23 +406,26 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
     state = np.repeat(config.initial_state[:, None], paths, axis=1)
     values = np.empty((len(grid), system.dim, paths))
     values[0] = state
-    for m in range(1, len(grid)):
-        forcing = np.stack([rng.normal(0.0, sigma, size=draws) for rng in rngs], axis=-1)
-        for xi in forcing:
-            k1 = rhs(state) + xi
-            k2 = rhs(state + h * k1) + xi
-            state = state + 0.5 * h * (k1 + k2)
-        values[m] = state
-        diverged = np.flatnonzero(~np.isfinite(state).all(axis=0))
-        if diverged.size:
-            raise IntegrationError(
-                f"noisy path {diverged[0]} of {system.name} is not finite "
-                f"at t = {grid[m]:g}")
+    # A diverging path overflows to inf/nan on its way out; that is reported
+    # below as IntegrationError, so the arithmetic itself must not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, len(grid)):
+            forcing = np.stack([rng.normal(0.0, sigma, size=draws) for rng in rngs], axis=-1)
+            for xi in forcing:
+                k1 = rhs(state) + xi
+                k2 = rhs(state + h * k1) + xi
+                state = state + 0.5 * h * (k1 + k2)
+            values[m] = state
+            diverged = np.flatnonzero(~np.isfinite(state).all(axis=0))
+            if diverged.size:
+                raise IntegrationError(
+                    f"noisy path {diverged[0]} of {system.name} is not finite "
+                    f"at t = {grid[m]:g}")
     return [TimeSeries(dt=config.dt, values=values[:, :, i], t0=float(grid[0]))
             for i in range(paths)]
 
 
-def on_attractor_state(system: SystemDef, transient: float = 20.0, dt: float = 0.01,
+def on_attractor_state(system: SystemDef, transient: float = 20.0, dt: float = TRANSIENT_DT,
                        rtol: float = 1e-8, atol: float = 1e-10,
                        method: str = "RK23") -> np.ndarray:
     """A point on the attractor, reached by discarding a fixed transient.

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .features import total_features
 from .model import Mode, NgrcModel
@@ -147,6 +146,9 @@ def solve_double_scroll_uss(v1_max: float = 5.0) -> list[np.ndarray]:
     residual below 1e-12; the full states follow from the zero-derivative
     relations V2 = V1*R4/R1, I = V1/R1.
     """
+    # Imported here: scipy.optimize costs every other task import time and memory.
+    from scipy.optimize import brentq
+
     p = DOUBLE_SCROLL_PARAMS
     lo = 1e-6
     if double_scroll_uss_equation(lo) * double_scroll_uss_equation(v1_max) >= 0:

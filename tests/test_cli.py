@@ -1,11 +1,23 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ngrc.cli
-from ngrc import CostParams, IntegrationError, estimate_cost, feature_names, load_model
+from ngrc import (
+    CostParams,
+    IntegrationError,
+    estimate_cost,
+    feature_names,
+    get_system,
+    load_model,
+    on_attractor_state,
+)
 from ngrc.cli import (
     TASK_DEFAULTS,
     TASKS,
@@ -14,6 +26,7 @@ from ngrc.cli import (
     resolve_config,
     validate_config,
 )
+from ngrc.systems import TRANSIENT_DT
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -335,8 +348,48 @@ def test_main_reports_a_diverging_noisy_ensemble_as_numerical(tmp_path, capsys):
     doc = {"task": "noise-lorenz", "noise_rms": 1e3, "repeats": 2, "rtol": 1e-3, "atol": 1e-6}
     config = write_config(tmp_path, doc)
     assert main(["validate", config, "--quiet"]) == 0
-    with np.errstate(all="ignore"):
+    # the overflow on the way is the failure being reported, not a warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert "stage 'noisy training and forecast': noisy path" in err
-    assert "of lorenz63 is not finite at t = " in err
+    assert err == ("numerical failure: stage 'noisy training and forecast': "
+                   "noisy path 1 of lorenz63 is not finite at t = 0.35\n")
+
+
+def test_transient_time_must_hold_one_transient_step(tmp_path, capsys):
+    # the transient runs on its own dt grid; a span that rounds to no step of
+    # it used to validate and then crash the run
+    doc = {"task": "forecast-doublescroll", "transient_time": 0.004}
+    assert main(["validate", write_config(tmp_path, doc), "--quiet"]) == 2
+    assert "transient_time" in capsys.readouterr().err
+    # validation accepts exactly the transients that on_attractor_state runs
+    system = get_system("double_scroll")
+    for transient in (0.004, 0.005, 0.0051, TRANSIENT_DT, 0.1):
+        try:
+            on_attractor_state(system, transient)
+        except ValueError:
+            runs = False
+        else:
+            runs = True
+        try:
+            resolve_config({**doc, "transient_time": transient})
+        except ConfigError:
+            accepted = False
+        else:
+            accepted = True
+        assert accepted == runs, transient
+
+
+def test_importing_the_cli_loads_no_integrate_or_optimize():
+    # the integrators are ngrc's own and only the double-scroll steady state
+    # needs scipy.optimize; loading either costs every run set-up time and memory
+    code = ("import sys, ngrc.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                       os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "[]"

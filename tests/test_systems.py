@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from pathlib import Path
 
@@ -285,58 +286,71 @@ def counted(rhs, finite_calls=math.inf):
     return wrapper
 
 
-def rk23_by_solve_ivp(rhs, config):
-    """scipy's RK23 on the config's grid, with the number of calls of ``rhs``."""
+def by_solve_ivp(rhs, config):
+    """scipy's solve_ivp with the config's method on its grid, with the calls of ``rhs``."""
     grid = config.grid()
     sol = solve_ivp(lambda t, y: rhs(y), (grid[0], grid[-1]), config.initial_state,
-                    method="RK23", t_eval=grid, rtol=config.rtol, atol=config.atol)
+                    method=config.method, t_eval=grid, rtol=config.rtol, atol=config.atol)
     return sol, rhs.calls
 
 
 @settings(max_examples=20)
-@example(factory=lorenz63, dt=0.01, tolerances=(1e-3, 1e-6), t0=0.0, stretch=1.0, offset=0.0)
-@example(factory=lorenz63, dt=0.025, tolerances=(1e-8, 1e-10), t0=37.5, stretch=0.77,
-         offset=0.1)
-@example(factory=double_scroll, dt=0.25, tolerances=(1e-8, 1e-10), t0=99.9, stretch=1.0,
-         offset=-0.3)
-@given(factory=st.sampled_from([lorenz63, double_scroll]),
+@example(method="RK23", factory=lorenz63, dt=0.01, tolerances=(1e-3, 1e-6), t0=0.0,
+         stretch=1.0, offset=0.0)
+@example(method="RK23", factory=lorenz63, dt=0.025, tolerances=(1e-8, 1e-10), t0=37.5,
+         stretch=0.77, offset=0.1)
+@example(method="RK23", factory=double_scroll, dt=0.25, tolerances=(1e-8, 1e-10), t0=99.9,
+         stretch=1.0, offset=-0.3)
+@example(method="DOP853", factory=lorenz63, dt=0.01, tolerances=(1e-3, 1e-6), t0=0.0,
+         stretch=1.0, offset=0.0)
+@example(method="DOP853", factory=lorenz63, dt=0.025, tolerances=(1e-8, 1e-10), t0=37.5,
+         stretch=0.77, offset=0.1)
+@example(method="DOP853", factory=double_scroll, dt=0.25, tolerances=(1e-8, 1e-10), t0=99.9,
+         stretch=1.0, offset=-0.3)
+@given(method=st.sampled_from(["RK23", "DOP853"]),
+       factory=st.sampled_from([lorenz63, double_scroll]),
        dt=st.sampled_from([0.01, 0.025, 0.05, 0.25]),
        tolerances=st.sampled_from([(1e-3, 1e-6), (1e-8, 1e-10)]),
        t0=st.floats(0.0, 100.0),
        stretch=st.floats(0.0, 1.0),
        offset=st.floats(-0.5, 0.5))
-def test_rk23_stepper_matches_solve_ivp_bit_for_bit(factory, dt, tolerances, t0, stretch,
-                                                   offset):
-    # log-uniform spans from a single step (0.6 dt) up to 30 time units,
-    # most not a whole number of dt steps
+def test_rk23_stepper_matches_solve_ivp_bit_for_bit(method, factory, dt, tolerances, t0,
+                                                   stretch, offset):
+    # both pairs of the stepping loop; log-uniform spans from a single step
+    # (0.6 dt) up to 30 time units, most not a whole number of dt steps
     system = factory()
     start = {"lorenz63": (-5.0, 4.0, 25.0), "double_scroll": (0.5, -0.2, 1.0)}[system.name]
     span = 0.6 * dt * (30.0 / (0.6 * dt)) ** stretch
     rtol, atol = tolerances
     config = IntegrationConfig(dt=dt, t_span=(t0, t0 + span),
-                               initial_state=np.array(start) + offset, rtol=rtol, atol=atol)
+                               initial_state=np.array(start) + offset, rtol=rtol, atol=atol,
+                               method=method)
     rhs = counted(system.rhs)
     series = integrate(dataclasses.replace(system, rhs=rhs), config)
-    sol, oracle_calls = rk23_by_solve_ivp(counted(system.rhs), config)
+    sol, oracle_calls = by_solve_ivp(counted(system.rhs), config)
     assert sol.success
     assert np.array_equal(series.values, sol.y.T)
     assert rhs.calls == oracle_calls
 
 
 def test_rk23_stepper_raises_when_the_field_turns_nan():
-    config = IntegrationConfig(dt=0.025, t_span=(0.0, 5.0),
-                               initial_state=np.array([-5.0, 4.0, 25.0]), rtol=1e-3, atol=1e-6)
-    rhs = counted(lorenz_rhs_by_hand, finite_calls=300)
-    with pytest.raises(IntegrationError, match="step size"):
-        integrate(dataclasses.replace(lorenz63(), rhs=rhs), config)
-    # scipy gives up at the same call
-    sol, oracle_calls = rk23_by_solve_ivp(counted(lorenz_rhs_by_hand, finite_calls=300), config)
-    assert sol.status == -1
-    assert rhs.calls == oracle_calls
+    for method in ("RK23", "DOP853"):
+        config = IntegrationConfig(dt=0.025, t_span=(0.0, 5.0),
+                                   initial_state=np.array([-5.0, 4.0, 25.0]), rtol=1e-3,
+                                   atol=1e-6, method=method)
+        rhs = counted(lorenz_rhs_by_hand, finite_calls=300)
+        with pytest.raises(IntegrationError, match="step size"):
+            integrate(dataclasses.replace(lorenz63(), rhs=rhs), config)
+        # scipy gives up at the same call
+        sol, oracle_calls = by_solve_ivp(counted(lorenz_rhs_by_hand, finite_calls=300), config)
+        assert sol.status == -1
+        assert rhs.calls == oracle_calls
 
-    at_start = dataclasses.replace(lorenz63(), rhs=counted(lorenz_rhs_by_hand, finite_calls=0))
-    with pytest.raises(IntegrationError, match="not finite"):
-        integrate(at_start, config)
+        # at the start scipy's first step size is NaN and it never returns
+        at_start = dataclasses.replace(lorenz63(),
+                                       rhs=counted(lorenz_rhs_by_hand, finite_calls=0))
+        with pytest.raises(IntegrationError, match="not finite"):
+            integrate(at_start, config)
 
 
 @pytest.mark.parametrize("task_name, run", [("lorenz_task", "forecast-lorenz"),
@@ -351,3 +365,17 @@ def test_ground_truth_matches_tracked_runs(task_name, run, request):
         tracked = np.loadtxt(RUNS / run / f"{name}.csv", delimiter=",")
         assert np.array_equal(series.times, tracked[:, 0])
         assert np.array_equal(series.values, tracked[:, 1:])
+
+
+def test_dop853_ground_truth_matches_tracked_run():
+    # noise-lorenz's reference trajectory: on-attractor start after a
+    # 25-unit transient, then 10,001 samples of dt 0.025, all on DOP853 at
+    # rtol 1e-8; its component stds are tracked bit-exact
+    system = lorenz63()
+    x0 = on_attractor_state(system, 25.0, rtol=1e-8, atol=1e-10, method="DOP853")
+    config = IntegrationConfig(dt=0.025, t_span=(0.0, 10000 * 0.025), initial_state=x0,
+                               rtol=1e-8, atol=1e-10, method="DOP853")
+    reference = integrate(system, config)
+    assert reference.n_samples == 10001
+    summary = json.loads((RUNS / "noise-lorenz" / "summary.json").read_text())
+    assert reference.values.std(axis=0).tolist() == summary["noise_free_component_std"]
