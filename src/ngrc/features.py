@@ -65,6 +65,8 @@ class FeatureSpec:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.s < 1:
             raise ValueError(f"s must be >= 1, got {self.s}")
+        if any(int(p) != p for p in self.degrees):
+            raise ValueError(f"degrees must be integers, got {self.degrees}")
         degrees = tuple(sorted(int(p) for p in self.degrees))
         if any(p < 2 for p in degrees):
             raise ValueError(f"nonlinear degrees must all be >= 2, got {degrees}")

@@ -46,7 +46,6 @@ class NgrcModel:
     readout: ReadoutMatrix
     mode: Mode
     input_indices: tuple[int, ...]
-    output_dim: int
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -65,10 +64,11 @@ class NgrcModel:
             raise ValueError(
                 f"readout expects {self.readout.feature_dim} features, spec defines {expected}"
             )
-        if self.readout.output_dim != self.output_dim:
-            raise ValueError(
-                f"readout has {self.readout.output_dim} outputs, expected {self.output_dim}"
-            )
+
+    @property
+    def output_dim(self) -> int:
+        """The number of readout rows: d for a forecaster, 1 for an inferrer."""
+        return self.readout.output_dim
 
 
 def _training_indices(spec: FeatureSpec, n_samples: int, need_target: bool) -> np.ndarray:
@@ -110,7 +110,6 @@ def train_forecaster(series: TimeSeries, spec: FeatureSpec, alpha: float) -> Ngr
         readout=readout,
         mode=Mode.FORECAST_DELTA,
         input_indices=tuple(range(spec.d)),
-        output_dim=spec.d,
         metadata={"train_nrmse": train_nrmse, "train_samples": int(len(idx))},
     )
 
@@ -167,7 +166,7 @@ def train_inferrer(series: TimeSeries, observed, target: int, spec: FeatureSpec,
         raise ValueError(f"target component {target} must not be among the observed {observed}")
     if len(observed) != spec.d:
         raise ValueError(f"{len(observed)} observed components for spec with d = {spec.d}")
-    if max((*observed, target)) >= series.n_components:
+    if not all(0 <= i < series.n_components for i in (*observed, target)):
         raise ValueError(
             f"component index out of range for series with {series.n_components} components"
         )
@@ -186,7 +185,6 @@ def train_inferrer(series: TimeSeries, observed, target: int, spec: FeatureSpec,
         readout=readout,
         mode=Mode.INFERENCE_DIRECT,
         input_indices=observed,
-        output_dim=1,
         metadata={"train_nrmse": train_nrmse, "target_index": target,
                   "train_samples": int(len(idx))},
     )
@@ -201,9 +199,9 @@ def infer(model: NgrcModel, series: TimeSeries) -> TimeSeries:
     """
     if model.mode is not Mode.INFERENCE_DIRECT:
         raise ValueError(f"infer requires a {Mode.INFERENCE_DIRECT.value} model, got {model.mode.value}")
-    if max(model.input_indices) >= series.n_components:
+    if not all(0 <= i < series.n_components for i in model.input_indices):
         raise ValueError(
-            f"model reads component {max(model.input_indices)} but series has "
+            f"model reads components {model.input_indices} but series has "
             f"{series.n_components}"
         )
     obs_series = series.select(model.input_indices)
@@ -245,12 +243,14 @@ def from_document(doc: dict) -> NgrcModel:
         constant_value=doc["constant_value"],
     )
     readout = ReadoutMatrix(weights=doc["weights"], alpha=doc["alpha"])
+    if doc["output_dim"] != readout.output_dim:
+        raise ValueError(f"output_dim {doc['output_dim']!r} does not match the "
+                         f"{readout.output_dim} rows of the weights")
     return NgrcModel(
         spec=spec,
         readout=readout,
         mode=Mode(doc["mode"]),
         input_indices=tuple(doc["input_indices"]),
-        output_dim=doc["output_dim"],
         metadata=dict(doc.get("metadata", {})),
     )
 

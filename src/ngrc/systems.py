@@ -36,9 +36,6 @@ class IntegrationError(RuntimeError):
     """Raised when the adaptive integrator fails to reach the end time."""
 
 
-METHODS = ("RK23", "DOP853")
-
-
 @dataclass(frozen=True)
 class SystemDef:
     """A named autonomous ODE vector field."""
@@ -74,8 +71,8 @@ class IntegrationConfig:
             raise ValueError(f"noise_rms must be nonnegative, got {self.noise_rms}")
         if self.substeps < 1:
             raise ValueError(f"substeps must be >= 1, got {self.substeps}")
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method not in _PAIRS:
+            raise ValueError(f"method must be one of {tuple(_PAIRS)}, got {self.method!r}")
         state = np.asarray(self.initial_state, dtype=float)
         if state.ndim != 1 or not np.all(np.isfinite(state)):
             raise ValueError(f"initial_state must be a finite 1-D vector, got {state}")
@@ -94,8 +91,6 @@ DOUBLE_SCROLL_PARAMS = {"r1": 1.2, "r2": 3.44, "r4": 0.193, "alpha": 11.6, "ir":
 
 # Pre-transient starting points for on-attractor initial conditions.
 _SEED_STATE = {"lorenz63": (1.0, 1.0, 1.0), "double_scroll": (0.1, 0.1, 0.1)}
-# The sampling step of that transient; only its last sample is kept.
-TRANSIENT_DT = 0.01
 
 
 def lorenz63_rhs(state) -> np.ndarray:
@@ -425,15 +420,17 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
             for i in range(paths)]
 
 
-def on_attractor_state(system: SystemDef, transient: float = 20.0, dt: float = TRANSIENT_DT,
-                       rtol: float = 1e-8, atol: float = 1e-10,
-                       method: str = "RK23") -> np.ndarray:
-    """A point on the attractor, reached by discarding a fixed transient.
+def on_attractor_state(system: SystemDef, transient: float, rtol: float = 1e-8,
+                       atol: float = 1e-10, method: str = "RK23") -> np.ndarray:
+    """The state at time ``transient`` of a run from a canonical start point.
 
-    Starts from a canonical off-attractor point per system so the result is
-    deterministic.
+    Each system has one fixed off-attractor start point, so the result is
+    deterministic. The run is sampled only at its end (a grid of
+    [0, transient]), so the dense output is evaluated once.
     """
+    if not 0 < transient < math.inf:
+        raise ValueError(f"transient must be a positive finite time, got {transient!r}")
     start = np.array(_SEED_STATE[system.name])
-    config = IntegrationConfig(dt=dt, t_span=(0.0, transient), initial_state=start,
+    config = IntegrationConfig(dt=transient, t_span=(0.0, transient), initial_state=start,
                                rtol=rtol, atol=atol, method=method)
     return integrate(system, config).values[-1].copy()

@@ -138,11 +138,11 @@ def double_scroll_uss_equation(v1: float) -> float:
     )
 
 
-def solve_double_scroll_uss(v1_max: float = 5.0) -> list[np.ndarray]:
+def solve_double_scroll_uss() -> list[np.ndarray]:
     """The origin plus the symmetric steady-state pair of the circuit.
 
     The positive root of the transcendental balance is bracketed on
-    (0, v1_max] and polished by Brent's method (bisection/secant hybrid) to
+    [1e-6, 5] and polished by Brent's method (bisection/secant hybrid) to
     residual below 1e-12; the full states follow from the zero-derivative
     relations V2 = V1*R4/R1, I = V1/R1.
     """
@@ -150,10 +150,10 @@ def solve_double_scroll_uss(v1_max: float = 5.0) -> list[np.ndarray]:
     from scipy.optimize import brentq
 
     p = DOUBLE_SCROLL_PARAMS
-    lo = 1e-6
-    if double_scroll_uss_equation(lo) * double_scroll_uss_equation(v1_max) >= 0:
-        raise RuntimeError(f"no sign change on ({lo}, {v1_max}]: cannot bracket the root")
-    v1 = brentq(double_scroll_uss_equation, lo, v1_max, xtol=1e-15, rtol=8.9e-16)
+    lo, hi = 1e-6, 5.0
+    if double_scroll_uss_equation(lo) * double_scroll_uss_equation(hi) >= 0:
+        raise RuntimeError(f"no sign change on [{lo}, {hi}]: cannot bracket the root")
+    v1 = brentq(double_scroll_uss_equation, lo, hi, xtol=1e-15, rtol=8.9e-16)
     if abs(double_scroll_uss_equation(v1)) > 1e-12:
         raise RuntimeError(f"root polishing stalled at residual {double_scroll_uss_equation(v1)}")
     state = np.array([v1, v1 * p["r4"] / p["r1"], v1 / p["r1"]])
@@ -168,14 +168,14 @@ def learned_map_residual(model: NgrcModel, state: np.ndarray) -> np.ndarray:
     return model.readout.weights @ total_features(lin, model.spec)
 
 
-def estimate_model_uss(model: NgrcModel, guesses, max_iter: int = 200,
-                       tol: float = 1e-10, residual_tol: float = 1e-8) -> list[np.ndarray | None]:
+def estimate_model_uss(model: NgrcModel, guesses) -> list[np.ndarray | None]:
     """Fixed points of the learned map near each guess.
 
-    Damped Newton iteration on the state repeated across all delay taps;
-    an entry is None when the iteration fails to converge within max_iter.
-    A stalled step alone does not count as convergence: the one-step
-    displacement at the result must also be below residual_tol.
+    Damped Newton iteration on the state repeated across all delay taps,
+    with a central-difference Jacobian; an entry is None when the iteration
+    does not converge within 200 steps. The iteration stops once a step is
+    shorter than 1e-10, and a stalled step alone does not count as
+    convergence: the one-step displacement there must also be below 1e-8.
     """
     results: list[np.ndarray | None] = []
     # Divergent iterates overflow harmlessly; non-convergence is reported
@@ -184,7 +184,7 @@ def estimate_model_uss(model: NgrcModel, guesses, max_iter: int = 200,
         for guess in guesses:
             x = np.asarray(guess, dtype=float).copy()
             converged = False
-            for _ in range(max_iter):
+            for _ in range(200):
                 g = learned_map_residual(model, x)
                 jac = _residual_jacobian(model, x)
                 try:
@@ -202,20 +202,21 @@ def estimate_model_uss(model: NgrcModel, guesses, max_iter: int = 200,
                         break
                     lam *= 0.5
                 x_new = x - lam * step
-                if np.linalg.norm(x_new - x) < tol:
+                if np.linalg.norm(x_new - x) < 1e-10:
                     x = x_new
-                    converged = np.linalg.norm(learned_map_residual(model, x)) < residual_tol
+                    converged = np.linalg.norm(learned_map_residual(model, x)) < 1e-8
                     break
                 x = x_new
             results.append(x if converged else None)
     return results
 
 
-def _residual_jacobian(model: NgrcModel, state: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _residual_jacobian(model: NgrcModel, state: np.ndarray) -> np.ndarray:
+    """Central differences with step 1e-6 * (1 + |state[c]|) in component c."""
     d = model.spec.d
     jac = np.empty((model.output_dim, d))
     for c in range(d):
-        step = h * (1.0 + abs(state[c]))
+        step = 1e-6 * (1.0 + abs(state[c]))
         plus, minus = state.copy(), state.copy()
         plus[c] += step
         minus[c] -= step
@@ -239,25 +240,25 @@ def uss_report(model: NgrcModel, true_states, scaling: ScalingVector) -> tuple[U
     return tuple(entries)
 
 
-def extract_return_map(series: TimeSeries, component: int, window: float = 1000.0) -> ReturnMap:
-    """Successive refined local maxima of one component.
+def extract_return_map(series: TimeSeries, component: int) -> ReturnMap:
+    """Successive refined local maxima of one component of the whole series.
 
-    Discrete maxima (strictly above both neighbours) within the first
-    ``window`` time units are refined by interpolating a degree-4
-    polynomial through the 5 surrounding samples and maximizing it between
-    the two neighbours.
+    Discrete maxima (strictly above both neighbours) are refined by
+    interpolating a degree-4 polynomial through the 5 surrounding samples
+    and maximizing it between the two neighbours. Pass a segment to map a
+    shorter window.
     """
-    n_window = min(series.n_samples, int(np.floor(window / series.dt)) + 1)
-    x = series.values[:n_window, component]
+    x = series.values[:, component]
     interior = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:]))[0] + 1
     maxima = []
     for m in interior:
-        if m < 2 or m > n_window - 3:
+        if m < 2 or m > x.size - 3:
             continue  # not enough samples for the 5-point stencil
         maxima.append(_refine_maximum(x[m - 2 : m + 3]))
     if len(maxima) < 2:
         raise ReturnMapError(
-            f"found {len(maxima)} local maxima in {window} time units; need at least 2"
+            f"found {len(maxima)} local maxima in {series.duration:g} time units; "
+            "need at least 2"
         )
     return ReturnMap(np.array(maxima))
 

@@ -155,9 +155,9 @@ def test_lorenz_return_map_free_run_deviation_below_two_percent(lorenz_task):
     with budget(120.0, "1000-unit return-map benchmark"):
         truth_map = extract_return_map(
             lorenz_task.mother.segment(TRAIN_POINTS, TRAIN_POINTS + n_window),
-            component=2, window=1000.0)
+            component=2)
         predicted_map = extract_return_map(
-            lorenz_task.predicted.segment(0, n_window), component=2, window=1000.0)
+            lorenz_task.predicted.segment(0, n_window), component=2)
         deviation = return_map_deviation(predicted_map, truth_map)
         truth_range = float(truth_map.maxima.max() - truth_map.maxima.min())
         relative = deviation / truth_range

@@ -263,3 +263,8 @@ def test_spec_validation_errors():
         FeatureSpec(d=1, k=1, s=1, degrees=(1,))
     with pytest.raises(ValueError):
         FeatureSpec(d=1, k=1, s=1, degrees=(2, 2))
+    # a degree read from JSON must not be truncated to an integer
+    for degrees in ((2.7,), (3.9, 2)):
+        with pytest.raises(ValueError, match="integers"):
+            FeatureSpec(d=1, k=1, s=1, degrees=degrees)
+    assert FeatureSpec(d=1, k=1, s=1, degrees=(3.0, 2)).degrees == (2, 3)

@@ -159,6 +159,14 @@ def test_from_document_rejects_unknown_format(lorenz_task):
         from_document(doc)
 
 
+def test_from_document_checks_output_dim_against_weights(lorenz_task):
+    doc = to_document(lorenz_task.model)
+    assert doc["output_dim"] == lorenz_task.model.output_dim == 3
+    doc["output_dim"] = 2
+    with pytest.raises(ValueError, match="output_dim 2 does not match the 3 rows"):
+        from_document(doc)
+
+
 def test_inferrer_alignment_and_accuracy(accurate_lorenz):
     spec = FeatureSpec(d=2, k=4, s=5, degrees=(2,), include_constant=True)
     model = train_inferrer(accurate_lorenz, observed=(0, 1), target=2, spec=spec,
@@ -185,6 +193,15 @@ def test_train_inferrer_rejects_bad_component_choices(accurate_lorenz):
         train_inferrer(accurate_lorenz, observed=(0,), target=2, spec=spec, alpha=1e-6)
     with pytest.raises(ValueError, match="out of range"):
         train_inferrer(accurate_lorenz, observed=(0, 1), target=7, spec=spec, alpha=1e-6)
+    # negative indices would alias components from the end
+    with pytest.raises(ValueError, match="out of range"):
+        train_inferrer(accurate_lorenz, observed=(0, 1), target=-1, spec=spec, alpha=1e-6)
+    with pytest.raises(ValueError, match="out of range"):
+        train_inferrer(accurate_lorenz, observed=(-3, 1), target=2, spec=spec, alpha=1e-6)
+    model = train_inferrer(accurate_lorenz, observed=(0, 1), target=2, spec=spec, alpha=1e-6)
+    for indices in ((-3, 1), (0, 3)):
+        with pytest.raises(ValueError, match="model reads components"):
+            infer(replace(model, input_indices=indices), accurate_lorenz)
 
 
 def test_infer_requires_inference_model(lorenz_task, accurate_lorenz):

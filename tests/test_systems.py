@@ -157,6 +157,21 @@ def test_on_attractor_state_lands_in_attractor_box():
     assert abs(state[0]) < 25 and abs(state[1]) < 30 and 0 < state[2] < 50
 
 
+@pytest.mark.parametrize("method", ["RK23", "DOP853"])
+def test_on_attractor_state_ends_at_the_transient_time(method):
+    # 25.004 is not rounded to a grid step, and the end state equals the last
+    # sample of any grid that ends at 25.004
+    system = lorenz63()
+    state = on_attractor_state(system, 25.004, rtol=1e-3, atol=1e-6, method=method)
+    assert not np.array_equal(state, on_attractor_state(system, 25.0, rtol=1e-3, atol=1e-6,
+                                                        method=method))
+    config = IntegrationConfig(dt=25.004 / 4, t_span=(0.0, 25.004),  # from Lorenz's (1, 1, 1)
+                               initial_state=np.ones(3), rtol=1e-3, atol=1e-6, method=method)
+    assert np.array_equal(state, integrate(system, config).values[-1])
+    with pytest.raises(ValueError, match="positive finite"):
+        on_attractor_state(system, math.inf)
+
+
 def test_integration_config_validation():
     with pytest.raises(ValueError):
         IntegrationConfig(dt=0.0, t_span=(0.0, 1.0), initial_state=np.ones(3))

@@ -40,7 +40,6 @@ def scalar_map_model(weights):
         readout=ReadoutMatrix(weights=np.array([weights], dtype=float), alpha=0.0),
         mode=Mode.FORECAST_DELTA,
         input_indices=(0,),
-        output_dim=1,
     )
 
 
@@ -164,7 +163,6 @@ def test_learned_map_residual_quadratic_hand_case():
                               alpha=0.0),
         mode=Mode.FORECAST_DELTA,
         input_indices=(0,),
-        output_dim=1,
     )
     assert learned_map_residual(model, np.array([3.0]))[0] == pytest.approx(15.0)
     assert learned_map_residual(model, np.array([0.0]))[0] == 0.0
@@ -201,18 +199,19 @@ def test_uss_report_structure():
 def test_extract_return_map_on_cosine():
     t = np.arange(0.0, 10.0, 0.01)
     series = TimeSeries(dt=0.01, values=np.cos(2 * np.pi * t)[:, None])
-    rmap = extract_return_map(series, component=0, window=10.0)
+    rmap = extract_return_map(series, component=0)
     # interior maxima at t = 1..9
     assert rmap.maxima.size == 9
     assert np.abs(rmap.maxima - 1.0).max() < 1e-6
-    short = extract_return_map(series, component=0, window=3.05)
+    # a window is a segment: t = 0..3.05 holds the maxima at t = 1, 2, 3
+    short = extract_return_map(series.segment(0, 306), component=0)
     assert short.maxima.size == 3
 
 
 def test_extract_return_map_needs_two_maxima():
     series = TimeSeries(dt=0.1, values=np.arange(50.0)[:, None])
-    with pytest.raises(ReturnMapError):
-        extract_return_map(series, component=0, window=5.0)
+    with pytest.raises(ReturnMapError, match="found 0 local maxima in 4.9 time units"):
+        extract_return_map(series, component=0)
 
 
 def test_return_map_pairs_and_validation():
