@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -244,8 +245,11 @@ _RULES = {
                      "target"), _NONNEGATIVE),
     **dict.fromkeys(("k", "s", "train_points", "test_points", "n_nodes", "substeps",
                      "repeats", "segments", "uss_segments"), _AT_LEAST_ONE),
-    **dict.fromkeys(("dt", "transient_time", "rtol", "atol", "spectral_radius",
+    **dict.fromkeys(("transient_time", "rtol", "atol", "spectral_radius",
                      "input_scale"), _POSITIVE),
+    # a subnormal dt has no finite number of samples per time unit
+    "dt": (lambda v: v > 0 and math.isfinite(1 / v),
+           "must be positive with a finite reciprocal"),
     "gamma": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
     "sigma_r": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
     "activation": (lambda v: v in ("tanh", "linear"), "must be 'tanh' or 'linear'"),
@@ -321,9 +325,10 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
                         errors.append(f"{key}: need at least {need} samples for the "
                                       f"delay window of k={spec.k}, s={spec.s}, "
                                       f"got {settings[key]}")
-    # Two refined maxima need two 5-point stencils whose centres are 2 apart.
+    # Two refined maxima need two 5-point stencils whose centres are 2 apart:
+    # round(window / dt) >= 7 samples, a test that cannot overflow this way.
     window, dt = settings.get("return_map_window", 0.0), settings.get("dt")
-    if window > 0 and round(window / dt) < 7:
+    if window > 0 and not window / dt > 6.5:
         errors.append(f"return_map_window: must be 0 (no return map) or span at least "
                       f"7 samples of dt={dt}, got {window!r}")
     if errors:

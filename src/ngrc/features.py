@@ -59,12 +59,14 @@ class FeatureSpec:
     constant_value: float = 1.0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError(f"d must be >= 1, got {self.d}")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        # a count read from JSON must not be truncated to an integer
+        for name in ("d", "k", "s"):
+            value = getattr(self, name)
+            if int(value) != value:
+                raise ValueError(f"{name} must be an integer, got {value}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
         if any(int(p) != p for p in self.degrees):
             raise ValueError(f"degrees must be integers, got {self.degrees}")
         degrees = tuple(sorted(int(p) for p in self.degrees))

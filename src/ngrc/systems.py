@@ -1,17 +1,19 @@
 """Ground-truth chaotic systems and their integrators.
 
 Deterministic trajectories come from an adaptive explicit Runge-Kutta pair
-sampled onto the uniform dt grid through its dense output: Bogacki-Shampine
-3(2) ("RK23", the default) or Dormand-Prince 8(5,3) ("DOP853"). RK23 at a
-loose tolerance gives the sampling jitter that the forecast tasks'
-regularization is tuned to; at rtol 1e-8 DOP853 needs about a tenth of
-RK23's RHS evaluations on the Lorenz system.
+sampled on the uniform dt grid: Bogacki-Shampine 3(2) ("RK23", the default)
+through its dense output, or Dormand-Prince 8(5,3) ("DOP853") by landing a
+step on every grid time. RK23 at a loose tolerance gives the sampling jitter
+that the forecast tasks' regularization is tuned to; at rtol 1e-8 DOP853
+needs about a tenth of RK23's RHS evaluations on the Lorenz system.
 
-Both pairs run in this module's own stepping loop, ``_runge_kutta``. It
-repeats ``scipy.integrate.solve_ivp(method=..., t_eval=grid)`` bit for bit:
-the same tableaus, step controller, initial-step rule and array
-expressions, and the same sequence of RHS calls, without the solver objects
-around them. Only the error norm and the dense output differ per pair.
+Both pairs run in this module's own stepping loop, ``_runge_kutta``, with
+scipy's tableaus, step controller, initial-step rule and array expressions,
+and the same sequence of RHS calls, without the solver objects around them.
+RK23 repeats ``scipy.integrate.solve_ivp(method="RK23", t_eval=grid)`` bit
+for bit. DOP853 repeats, bit for bit, scipy's DOP853 solver stepped to each
+grid time in turn, which cuts its last step there as it cuts one at
+``t_bound``; that is not ``solve_ivp(t_eval=grid)``, which interpolates.
 
 Noise-driven trajectories use a fixed-substep second-order scheme with a
 piecewise constant Gaussian forcing, scaled so the integrated forcing has
@@ -166,7 +168,7 @@ def _rk23_error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
     return _rms(np.dot(KT, _RK23_E) * h / scale)
 
 
-def _rk23_dense(K, h, y_old, y, f, x) -> np.ndarray:
+def _rk23_dense(K, h, y_old, x) -> np.ndarray:
     """Cubic Hermite interpolant of the step at normalized times x.
 
     The powers x, x^2, x^3 are associated as scipy's ``cumprod`` forms them.
@@ -197,44 +199,16 @@ def _dop853_error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
     return abs(h) * err5_norm_2 / math.sqrt(denom * scale.size)
 
 
-def _dop853_dense(K, h, y_old, y, f, x) -> np.ndarray:
-    """7th-degree interpolant of the step at normalized times x.
-
-    K must hold the three extra stages. Each value is scipy's nested product
-    of the rows of F, from the last, by x and 1 - x in turn; that is a chain
-    of scalar operations, so it runs on Python floats in scipy's order.
-    """
-    F = np.empty((_dop853.INTERPOLATOR_POWER, y.size))
-    f_old = K[0]
-    delta_y = y - y_old
-    F[0] = delta_y
-    F[1] = h * f_old - delta_y
-    F[2] = 2 * delta_y - h * (f + f_old)
-    F[3:] = h * np.dot(_dop853.D, K)
-    columns = F[::-1].T.tolist()
-    y_dense = np.array([[_nested_product(column, (xj, 1 - xj)) for column in columns]
-                        for xj in x.tolist()])
-    y_dense += y_old
-    return y_dense
-
-
-def _nested_product(coefficients, factors) -> float:
-    value = 0.0
-    for i, c in enumerate(coefficients):
-        value = (value + c) * factors[i % 2]
-    return value
-
-
 @dataclass(frozen=True)
 class _RungeKuttaPair:
-    """An embedded explicit Runge-Kutta pair with its dense output.
+    """An embedded explicit Runge-Kutta pair and how it is sampled.
 
-    ``A`` holds the stage coefficients: ``stages`` rows for one step, then
-    any extra stages the dense output needs (row ``stages`` itself is the
-    slope at the new point). ``error_order`` is the order of the error
-    estimator. ``error_norm(K[:stages + 1].T, h, scale)`` decides acceptance;
-    ``dense(K, h, y_old, y, f, x)`` gives the (len(x), dim) values of the
-    step's interpolant at normalized times x.
+    ``A`` holds the stage coefficients, one row per stage; row ``stages`` is
+    ``B``, whose stage is the slope at the new point. ``error_order`` is the
+    order of the error estimator. ``error_norm(K[:stages + 1].T, h, scale)``
+    decides acceptance. ``dense(K, h, y_old, x)`` gives the (len(x), dim)
+    values of the step's interpolant at normalized times x; a pair without
+    one (``dense=None``) lands its steps on the grid times instead.
     """
 
     name: str
@@ -243,13 +217,13 @@ class _RungeKuttaPair:
     stages: int
     error_order: int
     error_norm: Callable[[np.ndarray, float, np.ndarray], float]
-    dense: Callable[..., np.ndarray]
+    dense: Callable[..., np.ndarray] | None
 
 
 _PAIRS = {
     "RK23": _RungeKuttaPair("RK23", _RK23_A, _RK23_B, 3, 2, _rk23_error_norm, _rk23_dense),
     "DOP853": _RungeKuttaPair("DOP853", _dop853.A, _dop853.B, _dop853.STAGES, 7,
-                              _dop853_error_norm, _dop853_dense),
+                              _dop853_error_norm, None),
 }
 
 
@@ -274,20 +248,25 @@ def _initial_step(rhs, y0, f0, interval, rtol, atol, error_order) -> float:
 
 def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
                  rtol: float, atol: float) -> np.ndarray:
-    """The pair stepped from grid[0] to grid[-1], its dense output sampled on grid.
+    """The pair stepped from grid[0] to grid[-1] and sampled on grid.
 
-    Returns the (len(grid), dim) values that
-    ``solve_ivp(lambda t, y: rhs(y), (grid[0], grid[-1]), y0, method=pair.name,
-    t_eval=grid, rtol=rtol, atol=atol)`` returns transposed, bit for bit, with
-    the same RHS calls: one for f0, one for the initial step, ``stages`` per
-    attempted step, and the dense output's extra stages (three for DOP853,
-    none for RK23) on each step that holds a grid point. Every array
-    expression that combines more than one term is scipy's, with the same
-    operands and shapes; only the solver objects, the norm's call path, the
-    interpolants' ``tile``/``cumprod`` and elementwise loops, and the
-    per-step ``searchsorted`` are replaced. Both pairs share this loop, its
-    step controller and its initial-step rule; they differ only in the
-    tableau, the error norm and the dense output.
+    RK23 steps freely and samples its dense output on the grid: the
+    (len(grid), dim) result is what ``solve_ivp(lambda t, y: rhs(y),
+    (grid[0], grid[-1]), y0, method="RK23", t_eval=grid, rtol=rtol,
+    atol=atol)`` returns transposed, bit for bit. DOP853 has no dense output
+    here: each step is cut short at the next grid time, as scipy cuts a step
+    at ``t_bound``, and the state it lands on is the sample. The result is
+    what ``scipy.integrate.DOP853(fun, grid[0], y0, grid[-1], rtol, atol)``
+    reaches, bit for bit, when its ``t_bound`` is moved to each grid time in
+    turn and it is stepped there.
+
+    Both make scipy's RHS calls: one for f0, one for the initial step and
+    ``stages`` per attempted step. Every array expression that combines more
+    than one term is scipy's, with the same operands and shapes; only the
+    solver objects, the norm's call path, the interpolant's
+    ``tile``/``cumprod`` and the per-step ``searchsorted`` are replaced.
+    Both pairs share this loop, its step controller and its initial-step
+    rule; they differ in the tableau, the error norm and the sampling.
     """
     times = grid.tolist()
     t, t_end = times[0], times[-1]
@@ -300,15 +279,17 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
         raise IntegrationError(f"{pair.name}: the vector field is not finite at t = {t!r}")
     h_abs = _initial_step(rhs, y, f, t_end - t, rtol, atol, pair.error_order)
     error_exponent = -1 / (pair.error_order + 1)
-    A, B, stages = pair.A, pair.B, pair.stages
-    # K holds the stages in rows, then the new slope, then the extra stages;
-    # scipy combines them through these views.
-    K = np.empty((max(len(A), stages + 1), y0.size))
+    A, B, stages, dense = pair.A, pair.B, pair.stages, pair.dense
+    # K holds the stages in rows, then the new slope; scipy combines them
+    # through these views.
+    K = np.empty((stages + 1, y0.size))
     step = [(s, K[:s].T, A[s, :s]) for s in range(1, stages)]
-    extra = [(s, K[:s].T, A[s, :s]) for s in range(stages + 1, len(A))]
     BT, KT = K[:stages].T, K[:stages + 1].T
-    sampled = 0
+    # A landing pair samples the start itself; RK23's interpolant samples it.
+    sampled = 0 if dense else bisect_right(times, t)
+    out[:sampled] = y
     while t < t_end:
+        bound = t_end if dense else times[sampled]
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -316,7 +297,7 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
             if h_abs < min_step:
                 raise IntegrationError(
                     f"{pair.name} step size fell below the float spacing at t = {t!r}")
-            t_new = min(t + h_abs, t_end)
+            t_new = min(t + h_abs, bound)
             h = t_new - t
             h_abs = abs(h)
             K[0] = f
@@ -342,10 +323,10 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
         t, y, f = t_new, y_new, f_new
         stop = bisect_right(times, t, sampled)
         if stop > sampled:
-            for s, KsT, a in extra:
-                K[s] = rhs(y_old + np.dot(KsT, a) * h)
-            x = (grid[sampled:stop] - t_old) / h
-            out[sampled:stop] = pair.dense(K, h, y_old, y, f, x)
+            if dense:
+                out[sampled:stop] = dense(K, h, y_old, (grid[sampled:stop] - t_old) / h)
+            else:
+                out[sampled:stop] = y
             sampled = stop
     return out
 
@@ -354,7 +335,8 @@ def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     """Deterministic trajectory sampled on the uniform dt grid.
 
     Adaptive stepping with ``config.method`` controls the local error at
-    (rtol, atol); the dense solution is evaluated exactly at the grid times.
+    (rtol, atol). RK23 evaluates its dense output at the grid times; DOP853
+    cuts a step short at each grid time, so its steps depend on the grid.
     Raises IntegrationError if the field is not finite at the start or the
     step size collapses.
     """
@@ -426,7 +408,8 @@ def on_attractor_state(system: SystemDef, transient: float, rtol: float = 1e-8,
 
     Each system has one fixed off-attractor start point, so the result is
     deterministic. The run is sampled only at its end (a grid of
-    [0, transient]), so the dense output is evaluated once.
+    [0, transient]), so RK23's dense output is evaluated once and DOP853
+    steps freely until its last step.
     """
     if not 0 < transient < math.inf:
         raise ValueError(f"transient must be a positive finite time, got {transient!r}")

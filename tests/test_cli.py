@@ -126,6 +126,9 @@ def test_resolve_config_type_strictness(tmp_path):
         ({"task": "forecast-doublescroll", "transient_time": 1e400}, "transient_time"),
         ({"task": "forecast-lorenz", "constant_value": float("inf")}, "constant_value"),
         ({"task": "forecast-lorenz", "dt": 1e400}, "dt: expected a finite number"),
+        # a subnormal dt overflows every count of samples per time unit
+        ({"task": "forecast-lorenz", "dt": 5e-324}, "dt: must be positive with a finite"),
+        ({"task": "noise-lorenz", "dt": 5e-324}, "dt: must be positive with a finite"),
     ]
     for i, (doc, field) in enumerate(cases):
         with pytest.raises(ConfigError, match=field):
@@ -198,9 +201,10 @@ def test_main_run_complexity_writes_artifacts(tmp_path, capsys):
                 assert speedup == estimate_cost(ng, rc)
 
 
-@pytest.mark.parametrize("task", ["forecast-doublescroll", "baseline-rc", "sweep-trainsize"])
+@pytest.mark.parametrize("task", ["forecast-doublescroll", "baseline-rc", "sweep-trainsize",
+                                  "noise-lorenz"])
 def test_canonical_runs_reproduce_tracked_outputs_byte_for_byte(task, tmp_path):
-    # the three fast canonical tasks; every tracked file must come out again
+    # the four fast canonical tasks; every tracked file must come out again
     tracked = sorted((ROOT / "runs" / task).iterdir())
     assert main(["run", str(ROOT / "configs" / f"{task}.json"), "--out", str(tmp_path),
                  "--quiet"]) == 0

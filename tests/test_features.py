@@ -9,12 +9,17 @@ from hypothesis import strategies as st
 
 from ngrc import (
     FeatureSpec,
+    Mode,
+    NgrcModel,
+    ReadoutMatrix,
     TimeSeries,
     WarmupError,
     feature_block,
     feature_length,
     feature_names,
+    from_document,
     monomial_exponent_table,
+    to_document,
     total_features,
 )
 
@@ -268,3 +273,14 @@ def test_spec_validation_errors():
         with pytest.raises(ValueError, match="integers"):
             FeatureSpec(d=1, k=1, s=1, degrees=degrees)
     assert FeatureSpec(d=1, k=1, s=1, degrees=(3.0, 2)).degrees == (2, 3)
+    # nor may a count, which would otherwise fail later in feature_length
+    for kw in (dict(d=1.5), dict(k=2.5), dict(s=0.5)):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
+            FeatureSpec(**{**dict(d=3, k=2, s=1, degrees=(2,)), **kw})
+    spec = FeatureSpec(d=3.0, k=2.0, s=1.0, degrees=(2,))
+    assert (spec.d, spec.k, spec.s) == (3, 2, 1) and type(spec.k) is int
+    doc = to_document(NgrcModel(spec=FeatureSpec(d=1, k=2, s=1, degrees=(2,)),
+                                readout=ReadoutMatrix(np.zeros((1, 6)), 0.0),
+                                mode=Mode.FORECAST_DELTA, input_indices=(0,)))
+    with pytest.raises(ValueError, match="k must be an integer"):
+        from_document({**doc, "k": 2.5})
