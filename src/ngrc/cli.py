@@ -326,11 +326,12 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
                                       f"delay window of k={spec.k}, s={spec.s}, "
                                       f"got {settings[key]}")
     # Two refined maxima need two 5-point stencils whose centres are 2 apart:
-    # round(window / dt) >= 7 samples, a test that cannot overflow this way.
+    # round(window / dt) >= 7 samples, a test that cannot overflow this way;
+    # an infinite quotient is a sample count that round() cannot hold.
     window, dt = settings.get("return_map_window", 0.0), settings.get("dt")
-    if window > 0 and not window / dt > 6.5:
+    if window > 0 and not 6.5 < window / dt < math.inf:
         errors.append(f"return_map_window: must be 0 (no return map) or span at least "
-                      f"7 samples of dt={dt}, got {window!r}")
+                      f"7 and finitely many samples of dt={dt}, got {window!r}")
     if errors:
         raise ConfigError(errors)
     return config

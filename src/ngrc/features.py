@@ -130,7 +130,12 @@ def total_features(lin: np.ndarray, spec: FeatureSpec) -> np.ndarray:
         )
     ext = np.empty((spec.n_linear + 2, *lin.shape[1:]))
     ext[0], ext[1], ext[2:] = 1.0, spec.constant_value, lin
-    return np.prod(ext[_layout(spec)], axis=1)
+    # the columns multiplied left to right: the association of np.prod
+    table = _layout(spec)
+    features = ext[table[:, 0]]
+    for column in table.T[1:]:
+        features *= ext[column]
+    return features
 
 
 def feature_block(series: TimeSeries, spec: FeatureSpec, indices) -> np.ndarray:

@@ -5,11 +5,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 
 class SingularSystemError(RuntimeError):
-    """Raised when alpha = 0 and the normal-equation matrix is rank deficient."""
+    """Raised when the normal-equation matrix is not numerically positive definite."""
 
 
 @dataclass(frozen=True)
@@ -69,23 +68,37 @@ class TrainingBlock:
 def ridge_fit(block: TrainingBlock, alpha: float) -> ReadoutMatrix:
     """Fit W minimizing ||Y - W O||^2 + alpha ||W||^2.
 
-    Solves the normal equations W (O O^T + alpha I) = Y O^T through a
-    symmetric positive-definite factorization; the matrix is never inverted
-    explicitly.
+    Solves the normal equations (O O^T + alpha I) W^T = O Y^T with the
+    Cholesky factor L of G = O O^T + alpha I, then takes two corrected
+    semi-normal refinement steps with the same factor,
+
+        dW^T = G^-1 (O (Y - W O)^T - alpha W^T),
+
+    which bring the weights to the accuracy of an orthogonal (SVD or QR)
+    solve although G squares the condition number of O (Bjorck, *Numerical
+    Methods for Least Squares Problems*, SIAM 1996).
+    numpy has no triangular solve, so G^-1 is applied as L^-T (L^-1 b)
+    through the explicit inverse of L; G itself is never inverted.
     """
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     O, Y = block.features, block.targets
-    gram = O @ O.T
-    gram[np.diag_indices_from(gram)] += alpha
+    gram, moments = O @ O.T, O @ Y.T
+    if not (np.isfinite(gram).all() and np.isfinite(moments).all()):
+        raise ValueError("training features and targets must be finite")
+    gram.flat[:: len(gram) + 1] += alpha  # the diagonal
     try:
-        weights = scipy.linalg.solve(gram, O @ Y.T, assume_a="pos").T
-    except scipy.linalg.LinAlgError as exc:
+        factor_inv = np.linalg.inv(np.linalg.cholesky(gram))
+    except np.linalg.LinAlgError as exc:
         raise SingularSystemError(
-            f"normal-equation matrix is singular at alpha={alpha}; "
+            f"normal-equation matrix is not positive definite at alpha={alpha}; "
             "increase alpha or supply richer training data"
         ) from exc
-    if not np.all(np.isfinite(weights)):
+    weights_t = factor_inv.T @ (factor_inv @ moments)
+    with np.errstate(all="ignore"):  # non-finite weights are reported below
+        for _ in range(2):
+            rhs = O @ (Y - weights_t.T @ O).T - alpha * weights_t
+            weights_t = weights_t + factor_inv.T @ (factor_inv @ rhs)
+    if not np.all(np.isfinite(weights_t)):
         raise SingularSystemError("fit produced non-finite weights")
-    return ReadoutMatrix(weights=weights, alpha=float(alpha))
-
+    return ReadoutMatrix(weights=weights_t.T, alpha=float(alpha))

@@ -63,11 +63,16 @@ class IntegrationConfig:
     method: str = "RK23"
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.rtol <= 0 or self.atol <= 0:
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not (self.rtol > 0 and self.atol > 0):
             raise ValueError("integration tolerances must be positive")
-        if not round((self.t_span[1] - self.t_span[0]) / self.dt) >= 1:
+        if not all(math.isfinite(t) for t in self.t_span):
+            raise ValueError(f"t_span must be finite, got {self.t_span}")
+        steps = (self.t_span[1] - self.t_span[0]) / self.dt
+        if not math.isfinite(steps):
+            raise ValueError(f"dt = {self.dt} divides t_span {self.t_span} into too many steps")
+        if not round(steps) >= 1:
             raise ValueError(f"time span {self.t_span} holds no step of dt = {self.dt}")
         if self.noise_rms < 0:
             raise ValueError(f"noise_rms must be nonnegative, got {self.noise_rms}")
@@ -96,8 +101,13 @@ _SEED_STATE = {"lorenz63": (1.0, 1.0, 1.0), "double_scroll": (0.1, 0.1, 0.1)}
 
 
 def lorenz63_rhs(state) -> np.ndarray:
-    """Vector field of the three-variable Lorenz convection model."""
-    x, y, z = state
+    """Vector field of the three-variable Lorenz convection model.
+
+    ``state`` is one state vector or a (3, paths) array of states as columns;
+    a vector is unpacked into Python floats, which are cheaper to combine
+    than numpy scalars and round the same.
+    """
+    x, y, z = state.tolist() if state.ndim == 1 else state
     return np.array([10.0 * (y - x), x * (28.0 - z) - y, x * y - 8.0 / 3.0 * z])
 
 

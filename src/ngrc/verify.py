@@ -142,20 +142,25 @@ def solve_double_scroll_uss() -> list[np.ndarray]:
     """The origin plus the symmetric steady-state pair of the circuit.
 
     The positive root of the transcendental balance is bracketed on
-    [1e-6, 5] and polished by Brent's method (bisection/secant hybrid) to
-    residual below 1e-12; the full states follow from the zero-derivative
-    relations V2 = V1*R4/R1, I = V1/R1.
+    [1e-6, 5] and bisected until the bracket ends are adjacent floats; the
+    end with the smaller residual is the root, and its residual must be
+    below 1e-12. The full states follow from the zero-derivative relations
+    V2 = V1*R4/R1, I = V1/R1.
     """
-    # Imported here: scipy.optimize costs every other task import time and memory.
-    from scipy.optimize import brentq
-
     p = DOUBLE_SCROLL_PARAMS
     lo, hi = 1e-6, 5.0
-    if double_scroll_uss_equation(lo) * double_scroll_uss_equation(hi) >= 0:
+    f_lo, f_hi = double_scroll_uss_equation(lo), double_scroll_uss_equation(hi)
+    if f_lo * f_hi >= 0:
         raise RuntimeError(f"no sign change on [{lo}, {hi}]: cannot bracket the root")
-    v1 = brentq(double_scroll_uss_equation, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    if abs(double_scroll_uss_equation(v1)) > 1e-12:
-        raise RuntimeError(f"root polishing stalled at residual {double_scroll_uss_equation(v1)}")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = double_scroll_uss_equation(mid)
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    v1, residual = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    if abs(residual) > 1e-12:
+        raise RuntimeError(f"bisection stalled at residual {residual}")
     state = np.array([v1, v1 * p["r4"] / p["r1"], v1 / p["r1"]])
     return [np.zeros(3), state, -state]
 
@@ -250,33 +255,50 @@ def extract_return_map(series: TimeSeries, component: int) -> ReturnMap:
     """
     x = series.values[:, component]
     interior = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:]))[0] + 1
-    maxima = []
-    for m in interior:
-        if m < 2 or m > x.size - 3:
-            continue  # not enough samples for the 5-point stencil
-        maxima.append(_refine_maximum(x[m - 2 : m + 3]))
-    if len(maxima) < 2:
+    # drop maxima too close to an end for the 5-point stencil
+    interior = interior[(interior >= 2) & (interior <= x.size - 3)]
+    if interior.size < 2:
         raise ReturnMapError(
-            f"found {len(maxima)} local maxima in {series.duration:g} time units; "
+            f"found {interior.size} local maxima in {series.duration:g} time units; "
             "need at least 2"
         )
-    return ReturnMap(np.array(maxima))
+    return ReturnMap(_refine_maxima(x[interior[:, None] + np.arange(-2, 3)]))
 
 
-_STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+# Row j times a 5-sample stencil, over 24, is coefficient j (power basis in
+# the offset from the middle sample) of the quartic through the samples.
+_QUARTIC_FIT = np.array([[0.0, 0.0, 24.0, 0.0, 0.0],
+                         [2.0, -16.0, 0.0, 16.0, -2.0],
+                         [-1.0, 16.0, -30.0, 16.0, -1.0],
+                         [-2.0, 4.0, 0.0, -4.0, 2.0],
+                         [1.0, -4.0, 6.0, -4.0, 1.0]])
 
 
-def _refine_maximum(values: np.ndarray) -> float:
-    """Peak of the degree-4 interpolant of 5 samples, on the middle interval."""
-    coeffs = np.polynomial.polynomial.polyfit(_STENCIL, values, 4)
-    deriv = np.polynomial.polynomial.polyder(coeffs)
-    roots = np.polynomial.polynomial.polyroots(deriv)
-    candidates = [-1.0, 1.0]
-    for r in roots:
-        if abs(r.imag) < 1e-9 and -1.0 <= r.real <= 1.0:
-            candidates.append(float(r.real))
-    best = max(np.polynomial.polynomial.polyval(np.array(candidates), coeffs))
-    return float(best)
+def _refine_maxima(stencils: np.ndarray) -> np.ndarray:
+    """Peak of the degree-4 interpolant of each 5-sample row, on [-1, 1].
+
+    The candidates are the interval ends and the real roots of the
+    derivative inside it; the roots are the eigenvalues of the cubic's
+    companion matrices, all found in one batched call.
+    """
+    n = stencils.shape[0]
+    coeffs = stencils @ _QUARTIC_FIT.T / 24.0
+    deriv = coeffs[:, 1:] * np.arange(1.0, 5.0)
+    roots = np.full((n, 3), -1.0 + 0.0j)
+    cubic = deriv[:, 3] != 0
+    companion = np.zeros((np.count_nonzero(cubic), 3, 3))
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
+    companion[:, :, 2] = -deriv[cubic, :3] / deriv[cubic, 3:]
+    roots[cubic] = np.linalg.eigvals(companion)
+    for row in np.flatnonzero(~cubic):  # an interpolant of lower degree
+        found = np.polynomial.polynomial.polyroots(deriv[row])
+        roots[row, : found.size] = found
+    inside = (np.abs(roots.imag) < 1e-9) & (np.abs(roots.real) <= 1.0)
+    candidates = np.column_stack([-np.ones(n), np.ones(n), np.where(inside, roots.real, -1.0)])
+    values = coeffs[:, 4:]
+    for j in (3, 2, 1, 0):  # Horner, as polyval evaluates
+        values = coeffs[:, j : j + 1] + values * candidates
+    return values.max(axis=1)
 
 
 def return_map_deviation(predicted: ReturnMap, truth: ReturnMap) -> float:

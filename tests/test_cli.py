@@ -122,6 +122,9 @@ def test_resolve_config_type_strictness(tmp_path):
         ({"task": "forecast-lorenz", "return_map_window": 0.01}, "return_map_window"),
         ({"task": "forecast-lorenz", "return_map_window": 0.1}, "return_map_window"),
         ({"task": "forecast-lorenz", "return_map_window": 0.15}, "return_map_window"),
+        # ... and a sample count that a float can hold
+        ({"task": "forecast-lorenz", "return_map_window": 1e300, "dt": 1e-10},
+         "return_map_window"),
         # non-finite numbers (JSON's 1e400 parses as inf) pass every > / >= rule
         ({"task": "forecast-doublescroll", "transient_time": 1e400}, "transient_time"),
         ({"task": "forecast-lorenz", "constant_value": float("inf")}, "constant_value"),
@@ -399,10 +402,11 @@ def test_transient_time_must_hold_one_transient_step(tmp_path):
 
 
 def test_importing_the_cli_loads_no_integrate_or_optimize():
-    # the integrators are ngrc's own and only the double-scroll steady state
-    # needs scipy.optimize; loading either costs every run set-up time and memory
-    code = ("import sys, ngrc.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    # ngrc runs on numpy alone: its integrators, ridge solve and root
+    # bisection are its own, and importing scipy would cost every run set-up
+    # time and memory. The double-scroll steady state once loaded it lazily.
+    code = ("import sys, ngrc, ngrc.cli; ngrc.solve_double_scroll_uss(); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                        os.environ.get("PYTHONPATH")]))}

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ngrc import ReadoutMatrix, SingularSystemError, TrainingBlock, ridge_fit
+from ngrc import ReadoutMatrix, SingularSystemError, TrainingBlock, feature_block, ridge_fit
 
 
 def dense_inverse_ridge(features, targets, alpha):
@@ -29,6 +29,27 @@ def test_matches_dense_inverse_oracle(rng):
         oracle = dense_inverse_ridge(block.features, block.targets, alpha)
         worst = max(worst, float(np.abs(fitted.weights - oracle).max()))
     assert worst < 1e-10
+
+
+def thin_svd_ridge(features, targets, alpha):
+    """Ridge solution from the thin SVD of the features, without forming the Gram matrix."""
+    u, sv, vt = np.linalg.svd(features, full_matrices=False)
+    return (targets @ vt.T * (sv / (sv**2 + alpha))) @ u.T
+
+
+def test_matches_thin_svd_on_ill_conditioned_lorenz_features(lorenz_task):
+    # The canonical quadratic Lorenz fit: 400 points, 28 features, alpha
+    # 2.5e-6, a Gram matrix of condition number about 3e14. A plain
+    # normal-equation solve is off by about 4e-4 here; the refined one is
+    # as accurate as the orthogonal solve.
+    train = lorenz_task.train
+    idx = np.arange(lorenz_task.spec.warmup_index, train.n_samples - 1)
+    features = feature_block(train, lorenz_task.spec, idx)
+    targets = (train.values[idx + 1] - train.values[idx]).T
+    fitted = ridge_fit(TrainingBlock(features, targets), 2.5e-6)
+    oracle = thin_svd_ridge(features, targets, 2.5e-6)
+    relative = np.abs(fitted.weights - oracle).max() / np.abs(oracle).max()
+    assert relative <= 1e-8
 
 
 def test_exact_recovery_without_regularization(rng):
@@ -73,6 +94,14 @@ def test_singular_system_raises_without_regularization():
     # the same system is solvable once regularized
     fitted = ridge_fit(TrainingBlock(features, targets), 1e-6)
     assert np.all(np.isfinite(fitted.weights))
+
+
+def test_nonfinite_training_data_is_invalid_input_not_a_singular_system():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ridge_fit(TrainingBlock(np.array([[1.0, bad, 3.0]]), np.ones((1, 3))), 1e-6)
+        with pytest.raises(ValueError, match="finite"):
+            ridge_fit(TrainingBlock(np.ones((1, 3)), np.array([[1.0, bad, 3.0]])), 1e-6)
 
 
 def test_underdetermined_more_features_than_columns(rng):

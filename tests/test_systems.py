@@ -184,13 +184,22 @@ def test_on_attractor_state_ends_at_the_transient_time(method):
 
 
 def test_integration_config_validation():
-    with pytest.raises(ValueError):
-        IntegrationConfig(dt=0.0, t_span=(0.0, 1.0), initial_state=np.ones(3))
-    with pytest.raises(ValueError):
-        IntegrationConfig(dt=0.1, t_span=(1.0, 0.0), initial_state=np.ones(3))
-    with pytest.raises(ValueError):
-        IntegrationConfig(dt=0.1, t_span=(0.0, 1.0), initial_state=np.ones(3),
-                          rtol=0.0)
+    cases = [
+        (dict(dt=0.0), "dt"),
+        (dict(dt=math.nan), "dt"),
+        (dict(dt=math.inf), "dt"),
+        # the step count 1 / 5e-324 overflows to infinity
+        (dict(dt=5e-324), "dt"),
+        (dict(t_span=(1.0, 0.0)), "span"),
+        (dict(t_span=(0.0, math.nan)), "t_span"),
+        (dict(t_span=(-math.inf, 1.0)), "t_span"),
+        (dict(rtol=0.0), "tolerances"),
+        (dict(atol=math.nan), "tolerances"),
+    ]
+    for kw, field in cases:
+        with pytest.raises(ValueError, match=field):
+            IntegrationConfig(**{"dt": 0.1, "t_span": (0.0, 1.0),
+                                 "initial_state": np.ones(3), **kw})
 
 
 def test_integrate_rejects_nonfinite_initial_state():

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -206,6 +208,37 @@ def test_extract_return_map_on_cosine():
     # a window is a segment: t = 0..3.05 holds the maxima at t = 1, 2, 3
     short = extract_return_map(series.segment(0, 306), component=0)
     assert short.maxima.size == 3
+
+
+def polyfit_maximum(values):
+    """Peak of the degree-4 polyfit through 5 samples on [-1, 1], one stencil at a time."""
+    poly = np.polynomial.polynomial
+    coeffs = poly.polyfit(np.arange(-2.0, 3.0), values, 4)
+    candidates = [-1.0, 1.0] + [r.real for r in poly.polyroots(poly.polyder(coeffs))
+                                if abs(r.imag) < 1e-9 and -1.0 <= r.real <= 1.0]
+    return max(poly.polyval(np.array(candidates), coeffs))
+
+
+def test_batched_refinement_matches_per_stencil_polyfit(lorenz_task):
+    tracked = np.loadtxt(Path(__file__).resolve().parent.parent / "runs" / "forecast-lorenz"
+                         / "truth.csv", delimiter=",")
+    # the tracked truth series and a 1000-time-unit closed-loop run
+    for z in (tracked[:, 3], lorenz_task.predicted.values[:, 2]):
+        rmap = extract_return_map(TimeSeries(dt=0.025, values=z[:, None]), component=0)
+        peaks = np.nonzero((z[1:-1] > z[:-2]) & (z[1:-1] > z[2:]))[0] + 1
+        peaks = peaks[(peaks >= 2) & (peaks <= z.size - 3)]
+        oracle = np.array([polyfit_maximum(z[m - 2 : m + 3]) for m in peaks])
+        assert rmap.maxima.size == oracle.size > 10
+        assert np.abs(rmap.maxima - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_extract_return_map_on_samples_of_lower_degree():
+    # the 5 samples (-4, -1, 0, -1, -4) lie on a parabola, so the quartic and
+    # cubic coefficients are exactly 0 and the derivative is not a cubic
+    i = np.arange(60)
+    series = TimeSeries(dt=1.0, values=-(((i % 10) - 5.0) ** 2)[:, None])
+    rmap = extract_return_map(series, component=0)
+    assert np.array_equal(rmap.maxima, np.zeros(6))
 
 
 def test_extract_return_map_needs_two_maxima():
