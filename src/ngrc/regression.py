@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -9,6 +10,11 @@ import numpy as np
 
 class SingularSystemError(RuntimeError):
     """Raised when the normal-equation matrix is not numerically positive definite."""
+
+
+def _check_alpha(alpha: float) -> None:
+    if not (alpha >= 0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -27,8 +33,7 @@ class ReadoutMatrix:
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float, order="C", ndmin=2)
-        if self.alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        _check_alpha(self.alpha)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
@@ -80,8 +85,7 @@ def ridge_fit(block: TrainingBlock, alpha: float) -> ReadoutMatrix:
     numpy has no triangular solve, so G^-1 is applied as L^-T (L^-1 b)
     through the explicit inverse of L; G itself is never inverted.
     """
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    _check_alpha(alpha)
     O, Y = block.features, block.targets
     gram, moments = O @ O.T, O @ Y.T
     if not (np.isfinite(gram).all() and np.isfinite(moments).all()):

@@ -8,8 +8,13 @@ that the forecast tasks' regularization is tuned to; at rtol 1e-8 DOP853
 needs about a tenth of RK23's RHS evaluations on the Lorenz system.
 
 Both pairs run in this module's own stepping loop, ``_runge_kutta``, with
-scipy's tableaus, step controller, initial-step rule and array expressions,
-and the same sequence of RHS calls, without the solver objects around them.
+scipy's tableaus, step controller and initial-step rule and the same
+sequence of RHS calls, without the solver objects around them. Its
+reductions (the stage and error matrix-vector products, the norms' dot
+products, the interpolant) are numpy's BLAS calls on the operands and
+shapes scipy uses, since BLAS sums in its own order; all the elementwise
+arithmetic around them runs on lists of Python floats, which round as
+numpy's elementwise operations do and cost far less on three components.
 RK23 repeats ``scipy.integrate.solve_ivp(method="RK23", t_eval=grid)`` bit
 for bit. DOP853 repeats, bit for bit, scipy's DOP853 solver stepped to each
 grid time in turn, which cuts its last step there as it cuts one at
@@ -40,12 +45,17 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SystemDef:
-    """A named autonomous ODE vector field."""
+    """A named autonomous ODE vector field.
+
+    ``rhs`` maps a state to its slope. ``integrate`` calls it with a list of
+    floats and accepts a list or an array back; ``integrate_noisy`` calls it
+    with a (dim, paths) array of states as columns.
+    """
 
     name: str
     dim: int
     lyapunov_time: float
-    rhs: Callable[[np.ndarray], np.ndarray]
+    rhs: Callable[[list[float] | np.ndarray], list[float] | np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -100,26 +110,36 @@ DOUBLE_SCROLL_PARAMS = {"r1": 1.2, "r2": 3.44, "r4": 0.193, "alpha": 11.6, "ir":
 _SEED_STATE = {"lorenz63": (1.0, 1.0, 1.0), "double_scroll": (0.1, 0.1, 0.1)}
 
 
-def lorenz63_rhs(state) -> np.ndarray:
+def lorenz63_rhs(state):
     """Vector field of the three-variable Lorenz convection model.
 
-    ``state`` is one state vector or a (3, paths) array of states as columns;
-    a vector is unpacked into Python floats, which are cheaper to combine
-    than numpy scalars and round the same.
+    ``state`` is a list of three floats, one state vector or a (3, paths)
+    array of states as columns. A list gives a list, which is what the
+    stepping loop of ``integrate`` passes and takes; an array gives an
+    array. A vector is unpacked into Python floats, which are cheaper to
+    combine than numpy scalars and round the same.
     """
-    x, y, z = state.tolist() if state.ndim == 1 else state
-    return np.array([10.0 * (y - x), x * (28.0 - z) - y, x * y - 8.0 / 3.0 * z])
+    as_list = isinstance(state, list)
+    x, y, z = state if as_list else state.tolist() if state.ndim == 1 else state
+    slope = [10.0 * (y - x), x * (28.0 - z) - y, x * y - 8.0 / 3.0 * z]
+    return slope if as_list else np.array(slope)
 
 
-def double_scroll_rhs(state) -> np.ndarray:
-    """Vector field of the dimensionless double-scroll chaotic circuit."""
+def double_scroll_rhs(state):
+    """Vector field of the dimensionless double-scroll chaotic circuit.
+
+    Takes and gives a list of floats, a state vector or a (3, paths) array,
+    as ``lorenz63_rhs`` does; ``np.sinh`` rounds the same in every form.
+    """
+    as_list = isinstance(state, list)
     v1, v2, i = state
     p = DOUBLE_SCROLL_PARAMS
     dv = v1 - v2
-    sinh_term = 2.0 * p["ir"] * np.sinh(p["alpha"] * dv)
-    return np.array(
-        [v1 / p["r1"] - dv / p["r2"] - sinh_term, dv / p["r2"] + sinh_term - i, v2 - p["r4"] * i]
-    )
+    sinh = np.sinh(p["alpha"] * dv)
+    sinh_term = 2.0 * p["ir"] * (float(sinh) if as_list else sinh)
+    slope = [v1 / p["r1"] - dv / p["r2"] - sinh_term, dv / p["r2"] + sinh_term - i,
+             v2 - p["r4"] * i]
+    return slope if as_list else np.array(slope)
 
 
 def lorenz63() -> SystemDef:
@@ -168,14 +188,15 @@ _MAX_FACTOR = 10
 _MIN_RTOL = 100 * np.finfo(float).eps
 
 
-def _rms(x: np.ndarray) -> float:
+def _rms(x) -> float:
     """scipy's RMS norm: the same dot product and correctly rounded roots."""
+    x = np.asarray(x)
     return math.sqrt(x.dot(x)) / x.size ** 0.5
 
 
-def _rk23_error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
+def _rk23_error_norm(KT: np.ndarray, h: float, scale: list[float]) -> float:
     """RMS of the embedded 2nd-order error estimate, relative to scale."""
-    return _rms(np.dot(KT, _RK23_E) * h / scale)
+    return _rms([e * h / s for e, s in zip(KT.dot(_RK23_E).tolist(), scale)])
 
 
 def _rk23_dense(K, h, y_old, x) -> np.ndarray:
@@ -188,25 +209,25 @@ def _rk23_dense(K, h, y_old, x) -> np.ndarray:
     p[0] = x
     np.multiply(x, x, out=p[1])
     np.multiply(p[1], x, out=p[2])
-    y_dense = h * np.dot(Q, p)
-    y_dense += y_old[:, None]
+    y_dense = h * Q.dot(p)
+    y_dense += np.array(y_old)[:, None]
     return y_dense.T
 
 
-def _dop853_error_norm(KT: np.ndarray, h: float, scale: np.ndarray) -> float:
+def _dop853_error_norm(KT: np.ndarray, h: float, scale: list[float]) -> float:
     """The 5th-order error estimate damped by the 3rd-order one, as in DOP853.
 
     The squared norms are formed as scipy forms them, as the square of a
     rounded square root, which is not always the dot product itself.
     """
-    err5 = np.dot(KT, _dop853.E5) / scale
-    err3 = np.dot(KT, _dop853.E3) / scale
+    err5 = np.array([e / s for e, s in zip(KT.dot(_dop853.E5).tolist(), scale)])
+    err3 = np.array([e / s for e, s in zip(KT.dot(_dop853.E3).tolist(), scale)])
     err5_norm_2 = math.sqrt(err5.dot(err5)) ** 2
     err3_norm_2 = math.sqrt(err3.dot(err3)) ** 2
     if err5_norm_2 == 0 and err3_norm_2 == 0:
         return 0.0
     denom = err5_norm_2 + 0.01 * err3_norm_2
-    return abs(h) * err5_norm_2 / math.sqrt(denom * scale.size)
+    return abs(h) * err5_norm_2 / math.sqrt(denom * len(scale))
 
 
 @dataclass(frozen=True)
@@ -226,7 +247,7 @@ class _RungeKuttaPair:
     B: np.ndarray
     stages: int
     error_order: int
-    error_norm: Callable[[np.ndarray, float, np.ndarray], float]
+    error_norm: Callable[[np.ndarray, float, list[float]], float]
     dense: Callable[..., np.ndarray] | None
 
 
@@ -247,7 +268,7 @@ def _initial_step(rhs, y0, f0, interval, rtol, atol, error_order) -> float:
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval)
-    f1 = rhs(y0 + h0 * f0)
+    f1 = np.asarray(rhs((y0 + h0 * f0).tolist()))
     d2 = _rms((f1 - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -271,10 +292,14 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
     turn and it is stepped there.
 
     Both make scipy's RHS calls: one for f0, one for the initial step and
-    ``stages`` per attempted step. Every array expression that combines more
-    than one term is scipy's, with the same operands and shapes; only the
-    solver objects, the norm's call path, the interpolant's
-    ``tile``/``cumprod`` and the per-step ``searchsorted`` are replaced.
+    ``stages`` per attempted step. The state, the stage arguments, the error
+    scale and the slopes are lists of Python floats, and ``rhs`` is called
+    with a list. Only the reductions stay numpy arrays, formed as scipy
+    forms them: the stage products ``K[:s].T . a``, ``K[:stages].T . B``,
+    the error products, the norms' dot products and RK23's interpolant on
+    steps that sample. OpenBLAS evaluates those as fused multiply-add
+    chains, which Python arithmetic does not round alike; every other
+    operation is elementwise and rounds the same on floats as on arrays.
     Both pairs share this loop, its step controller and its initial-step
     rule; they differ in the tableau, the error norm and the sampling.
     """
@@ -282,12 +307,12 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
     t, t_end = times[0], times[-1]
     rtol = max(rtol, _MIN_RTOL)
     out = np.empty((len(times), y0.size))
-    y = y0
+    y = y0.tolist()
     f = rhs(y)
     if not np.all(np.isfinite(f)):
         # A NaN here makes scipy's first step size NaN, and it never returns.
         raise IntegrationError(f"{pair.name}: the vector field is not finite at t = {t!r}")
-    h_abs = _initial_step(rhs, y, f, t_end - t, rtol, atol, pair.error_order)
+    h_abs = _initial_step(rhs, y0, np.asarray(f), t_end - t, rtol, atol, pair.error_order)
     error_exponent = -1 / (pair.error_order + 1)
     A, B, stages, dense = pair.A, pair.B, pair.stages, pair.dense
     # K holds the stages in rows, then the new slope; scipy combines them
@@ -312,11 +337,13 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
             h_abs = abs(h)
             K[0] = f
             for s, KsT, a in step:
-                K[s] = rhs(y + np.dot(KsT, a) * h)
-            y_new = y + h * np.dot(BT, B)
+                K[s] = rhs([yi + d * h for yi, d in zip(y, KsT.dot(a).tolist())])
+            y_new = [yi + h * d for yi, d in zip(y, BT.dot(B).tolist())]
             f_new = rhs(y_new)
             K[stages] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            # y_new first: max keeps its first argument against a NaN, as
+            # np.maximum returns the NaN (an accepted y is never NaN)
+            scale = [atol + max(abs(new), abs(old)) * rtol for old, new in zip(y, y_new)]
             error_norm = pair.error_norm(KT, h, scale)
             if error_norm < 1:
                 if error_norm == 0:

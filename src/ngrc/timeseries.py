@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,10 @@ class TimeSeries:
             raise ValueError(f"values must be 2-D (samples x components), got shape {values.shape}")
         if values.shape[0] < 1 or values.shape[1] < 1:
             raise ValueError(f"series needs at least one sample and component, got {values.shape}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be finite, got {self.t0}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -104,6 +104,15 @@ def test_nonfinite_training_data_is_invalid_input_not_a_singular_system():
             ridge_fit(TrainingBlock(np.ones((1, 3)), np.array([[1.0, bad, 3.0]])), 1e-6)
 
 
+@pytest.mark.parametrize("alpha", [-1e-6, np.nan, np.inf])
+def test_bad_alpha_is_invalid_input_not_a_singular_system(alpha):
+    block = TrainingBlock(np.ones((1, 3)), np.ones((1, 3)))
+    with pytest.raises(ValueError, match="alpha"):
+        ridge_fit(block, alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        ReadoutMatrix(weights=np.ones((1, 1)), alpha=alpha)
+
+
 def test_underdetermined_more_features_than_columns(rng):
     block = random_block(rng, 30, 1, 10)
     fitted = ridge_fit(block, 1e-6)

@@ -59,6 +59,22 @@ def test_double_scroll_rhs_is_odd(state):
                        rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("factory, spread", [(lorenz63, 40.0), (double_scroll, 3.0)])
+def test_rhs_gives_the_same_bits_for_lists_vectors_and_columns(factory, spread):
+    # integrate steps on lists of floats; scipy passes 1-D arrays and
+    # integrate_noisy a (3, paths) array, so all three must round alike
+    rhs = factory().rhs
+    states = np.random.default_rng(7).uniform(-spread, spread, size=(3, 1000))
+    columns = rhs(states)
+    for j, state in enumerate(states.T):
+        from_list = rhs(state.tolist())
+        assert type(from_list) is list
+        assert all(type(v) is float for v in from_list)
+        expected = columns[:, j].tobytes()
+        assert np.array(from_list).tobytes() == expected
+        assert rhs(state).tobytes() == expected
+
+
 def test_system_registry():
     assert get_system("lorenz63").name == "lorenz63"
     assert get_system("double_scroll").name == "double_scroll"
@@ -424,12 +440,15 @@ def test_ground_truth_matches_tracked_runs(task_name, run, request):
 def test_dop853_ground_truth_matches_tracked_run():
     # noise-lorenz's reference trajectory: on-attractor start after a
     # 25-unit transient, then 10,001 samples of dt 0.025, all on DOP853 at
-    # rtol 1e-8; its component stds are tracked bit-exact
+    # rtol 1e-8; its component stds are tracked bit-exact, and its RHS
+    # calls, scipy's at this full length, are pinned
     system = lorenz63()
     x0 = on_attractor_state(system, 25.0, rtol=1e-8, atol=1e-10, method="DOP853")
     config = IntegrationConfig(dt=0.025, t_span=(0.0, 10000 * 0.025), initial_state=x0,
                                rtol=1e-8, atol=1e-10, method="DOP853")
-    reference = integrate(system, config)
+    rhs = counted(system.rhs)
+    reference = integrate(dataclasses.replace(system, rhs=rhs), config)
     assert reference.n_samples == 10001
+    assert rhs.calls == 129_530
     summary = json.loads((RUNS / "noise-lorenz" / "summary.json").read_text())
     assert reference.values.std(axis=0).tolist() == summary["noise_free_component_std"]

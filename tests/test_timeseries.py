@@ -61,6 +61,14 @@ def test_validation_rejects_bad_shapes():
         TimeSeries(dt=0.1, values=np.zeros((0, 1)))
 
 
+@pytest.mark.parametrize("kw, field", [(dict(dt=np.nan), "dt"), (dict(dt=np.inf), "dt"),
+                                       (dict(t0=np.nan), "t0"), (dict(t0=-np.inf), "t0")])
+def test_validation_rejects_nonfinite_grid(kw, field):
+    # a NaN grid would reach .times as NaN sample times
+    with pytest.raises(ValueError, match=field):
+        TimeSeries(**{"dt": 0.1, "values": [[1.0], [2.0]], **kw})
+
+
 def test_csv_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(3)
     series = TimeSeries(dt=1.0 / 3.0, values=rng.normal(size=(20, 3)), t0=np.pi)
