@@ -250,19 +250,22 @@ def extract_return_map(series: TimeSeries, component: int) -> ReturnMap:
 
     Discrete maxima (strictly above both neighbours) are refined by
     interpolating a degree-4 polynomial through the 5 surrounding samples
-    and maximizing it between the two neighbours. Pass a segment to map a
-    shorter window.
+    and maximizing it between the two neighbours. Maxima whose stencil holds
+    a non-finite sample (a diverged run) are dropped. Pass a segment to map
+    a shorter window.
     """
     x = series.values[:, component]
     interior = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:]))[0] + 1
     # drop maxima too close to an end for the 5-point stencil
     interior = interior[(interior >= 2) & (interior <= x.size - 3)]
-    if interior.size < 2:
+    stencils = x[interior[:, None] + np.arange(-2, 3)]
+    stencils = stencils[np.isfinite(stencils).all(axis=1)]
+    if stencils.shape[0] < 2:
         raise ReturnMapError(
-            f"found {interior.size} local maxima in {series.duration:g} time units; "
+            f"found {stencils.shape[0]} local maxima in {series.duration:g} time units; "
             "need at least 2"
         )
-    return ReturnMap(_refine_maxima(x[interior[:, None] + np.arange(-2, 3)]))
+    return ReturnMap(_refine_maxima(stencils))
 
 
 # Row j times a 5-sample stencil, over 24, is coefficient j (power basis in
@@ -301,9 +304,26 @@ def _refine_maxima(stencils: np.ndarray) -> np.ndarray:
     return values.max(axis=1)
 
 
+# Predicted pairs per block in return_map_deviation; a block's squared
+# distances fill a (_DEVIATION_ROWS, n_truth) array.
+_DEVIATION_ROWS = 64
+
+
 def return_map_deviation(predicted: ReturnMap, truth: ReturnMap) -> float:
-    """Mean distance from each predicted map point to its nearest truth point."""
-    p, t = predicted.pairs, truth.pairs
-    diffs = p[:, None, :] - t[None, :, :]
-    dists = np.sqrt(np.sum(diffs**2, axis=2))
-    return float(np.mean(dists.min(axis=1)))
+    """Mean distance from each predicted map point to its nearest truth point.
+
+    Exact, in memory linear in the inputs. The squared distances are formed
+    one block of predicted pairs at a time as dx*dx + dy*dy, the operations
+    and order of a full (n_pred, n_truth) table, and the square root of a
+    row minimum is the minimum of the row's square roots, so the result has
+    the same bits as that table would give. A NaN maximum gives NaN.
+    """
+    px, py = predicted.maxima[:-1], predicted.maxima[1:]
+    tx, ty = truth.maxima[:-1], truth.maxima[1:]
+    nearest = np.empty(px.size)
+    for start in range(0, px.size, _DEVIATION_ROWS):
+        rows = slice(start, start + _DEVIATION_ROWS)
+        dx = px[rows, None] - tx
+        dy = py[rows, None] - ty
+        nearest[rows] = (dx * dx + dy * dy).min(axis=1)
+    return float(np.mean(np.sqrt(nearest)))

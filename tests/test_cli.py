@@ -204,11 +204,12 @@ def test_main_run_complexity_writes_artifacts(tmp_path, capsys):
                 assert speedup == estimate_cost(ng, rc)
 
 
-@pytest.mark.parametrize("task", ["forecast-doublescroll", "baseline-rc", "sweep-trainsize",
-                                  "noise-lorenz", "infer-lorenz"])
+@pytest.mark.parametrize("task", ["forecast-lorenz", "forecast-doublescroll", "baseline-rc",
+                                  "sweep-trainsize", "noise-lorenz", "infer-lorenz"])
 def test_canonical_runs_reproduce_tracked_outputs_byte_for_byte(task, tmp_path):
-    # every canonical task but forecast-lorenz and complexity, which other
-    # tests pin; every tracked file must come out again
+    # every canonical task but complexity, which
+    # test_main_run_complexity_writes_artifacts pins; every tracked file must
+    # come out again
     tracked = sorted((ROOT / "runs" / task).iterdir())
     assert main(["run", str(ROOT / "configs" / f"{task}.json"), "--out", str(tmp_path),
                  "--quiet"]) == 0

@@ -1,3 +1,5 @@
+import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,9 @@ from ngrc import (
     uss_report,
     valid_time,
 )
-from ngrc.verify import double_scroll_uss_equation, learned_map_residual
+from ngrc.verify import _DEVIATION_ROWS, double_scroll_uss_equation, learned_map_residual
+
+FORECAST_RUN = Path(__file__).resolve().parent.parent / "runs" / "forecast-lorenz"
 
 # positive root of the steady-state balance, frozen from an independent
 # high-precision bisection run
@@ -220,8 +224,7 @@ def polyfit_maximum(values):
 
 
 def test_batched_refinement_matches_per_stencil_polyfit(lorenz_task):
-    tracked = np.loadtxt(Path(__file__).resolve().parent.parent / "runs" / "forecast-lorenz"
-                         / "truth.csv", delimiter=",")
+    tracked = np.loadtxt(FORECAST_RUN / "truth.csv", delimiter=",")
     # the tracked truth series and a 1000-time-unit closed-loop run
     for z in (tracked[:, 3], lorenz_task.predicted.values[:, 2]):
         rmap = extract_return_map(TimeSeries(dt=0.025, values=z[:, None]), component=0)
@@ -247,6 +250,27 @@ def test_extract_return_map_needs_two_maxima():
         extract_return_map(series, component=0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_extract_return_map_drops_maxima_with_nonfinite_stencils():
+    # the stencil of the maximum 3 reaches the inf, which leaves one maximum
+    series = TimeSeries(dt=1.0, values=np.array(
+        [0.0, 1.0, 2.0, 1.0, 0.0, 1.0, 3.0, 1.0, np.inf, np.nan, np.nan])[:, None])
+    with pytest.raises(ReturnMapError, match="found 1 local maxima"):
+        extract_return_map(series, component=0)
+    # a run diverging next to its maximum at sample 700 maps as the run cut
+    # before its first non-finite sample
+    x = np.cos(2 * np.pi * np.arange(0.0, 10.0, 0.01))
+    for first_bad in range(699, 705):
+        for bad in (np.inf, -np.inf, np.nan):
+            diverged = x.copy()
+            diverged[first_bad] = bad
+            diverged[first_bad + 1:] = np.nan
+            rmap = extract_return_map(TimeSeries(dt=0.01, values=diverged[:, None]), 0)
+            cut = extract_return_map(TimeSeries(dt=0.01, values=x[:first_bad, None]), 0)
+            assert np.array_equal(rmap.maxima, cut.maxima)
+            assert rmap.maxima.size == (6 if first_bad < 703 else 7)
+
+
 def test_return_map_pairs_and_validation():
     rmap = ReturnMap(np.array([1.0, 3.0, 2.0]))
     assert np.array_equal(rmap.pairs, [[1.0, 3.0], [3.0, 2.0]])
@@ -260,6 +284,50 @@ def test_return_map_deviation_directed_hand_case():
     # nearest truth pair to (0, 0) is (0, 1) at distance 1
     assert return_map_deviation(predicted, truth) == pytest.approx(1.0)
     assert return_map_deviation(truth, truth) == 0.0
+
+
+def tracked_return_map(name):
+    """A return map of the canonical forecast-lorenz run, from its CSV of pairs."""
+    pairs = np.loadtxt(FORECAST_RUN / f"return_map_{name}.csv", delimiter=",")
+    assert np.array_equal(pairs[1:, 0], pairs[:-1, 1])
+    return ReturnMap(np.append(pairs[:, 0], pairs[-1, 1]))
+
+
+def broadcast_deviation(predicted, truth):
+    """The deviation from the full (n_pred, n_truth, 2) table of differences."""
+    diffs = predicted.pairs[:, None, :] - truth.pairs[None, :, :]
+    return float(np.mean(np.sqrt(np.sum(diffs**2, axis=2)).min(axis=1)))
+
+
+def test_return_map_deviation_matches_the_full_table_bit_for_bit():
+    predicted, truth = tracked_return_map("forecast"), tracked_return_map("truth")
+    summary = json.loads((FORECAST_RUN / "summary.json").read_text())
+    assert (return_map_deviation(predicted, truth) == broadcast_deviation(predicted, truth)
+            == summary["return_map"]["deviation"])
+    rng = np.random.default_rng(14)
+    truth = ReturnMap(rng.normal(30.0, 5.0, 400))
+    for n_pairs in (1, _DEVIATION_ROWS - 1, _DEVIATION_ROWS, _DEVIATION_ROWS + 1,
+                    3 * _DEVIATION_ROWS + 17):
+        predicted = ReturnMap(rng.normal(30.0, 5.0, n_pairs + 1))
+        assert return_map_deviation(predicted, truth) == broadcast_deviation(predicted, truth)
+    with_nan = predicted.maxima.copy()
+    with_nan[_DEVIATION_ROWS + 5] = np.nan
+    assert np.isnan(broadcast_deviation(ReturnMap(with_nan), truth))
+    assert np.isnan(return_map_deviation(ReturnMap(with_nan), truth))
+    assert np.isnan(return_map_deviation(truth, ReturnMap(with_nan)))
+
+
+def test_return_map_deviation_memory_is_linear():
+    # a full (1330, 1338, 2) table of differences of the canonical maps is
+    # 27 MiB by itself; a (block, 1338) array is 0.65 MiB
+    predicted, truth = tracked_return_map("forecast"), tracked_return_map("truth")
+    tracemalloc.start()
+    try:
+        return_map_deviation(predicted, truth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_return_map_csv_roundtrip(tmp_path):
