@@ -52,11 +52,12 @@ from .systems import (
     IntegrationError,
     SystemDef,
     double_scroll,
-    get_system,
     integrate,
     integrate_noisy,
     lorenz63,
+    lorenz_uss,
     on_attractor_state,
+    solve_double_scroll_uss,
 )
 from .timeseries import TimeSeries
 from .verify import (
@@ -67,10 +68,8 @@ from .verify import (
     estimate_model_uss,
     extract_return_map,
     instantaneous_nrmse,
-    lorenz_uss,
     nrmse,
     return_map_deviation,
-    solve_double_scroll_uss,
     uss_report,
     valid_time,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "feature_names",
     "forecast",
     "from_document",
-    "get_system",
     "infer",
     "instantaneous_nrmse",
     "integrate",

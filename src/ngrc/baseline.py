@@ -9,7 +9,7 @@ training-cost ratio between the two approaches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil
+from math import ceil, inf
 
 import numpy as np
 
@@ -34,8 +34,12 @@ class ReservoirParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if not (float(self.n_nodes).is_integer() and self.n_nodes >= 1):
+            raise ValueError(f"n_nodes must be an integer >= 1, got {self.n_nodes}")
+        object.__setattr__(self, "n_nodes", int(self.n_nodes))
+        for name in ("spectral_radius", "input_scale"):
+            if not 0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.sigma_r <= 1.0:

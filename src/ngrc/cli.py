@@ -36,9 +36,10 @@ from .systems import (
     IntegrationConfig,
     IntegrationError,
     SystemDef,
-    get_system,
+    double_scroll,
     integrate,
     integrate_noisy,
+    lorenz63,
     on_attractor_state,
 )
 from .timeseries import TimeSeries
@@ -175,17 +176,6 @@ TASK_DEFAULTS: dict[str, dict] = {
 
 TASKS = tuple(TASK_DEFAULTS)
 
-_TASK_SYSTEM = {
-    "forecast-lorenz": "lorenz63",
-    "forecast-doublescroll": "double_scroll",
-    "infer-lorenz": "lorenz63",
-    "sweep-trainsize": "lorenz63",
-    "noise-lorenz": "lorenz63",
-    "baseline-rc": "lorenz63",
-}
-
-_COMPONENT_NAMES = {"lorenz63": ["x", "y", "z"], "double_scroll": ["V1", "V2", "I"]}
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -255,8 +245,8 @@ _RULES = {
     "activation": (lambda v: v in ("tanh", "linear"), "must be 'tanh' or 'linear'"),
     "degrees": (lambda v: all(_int_at_least(p, 2) for p in v),
                 "every degree must be an integer >= 2"),
-    "sizes": (lambda v: v and all(_int_at_least(n, 10) for n in v),
-              "expected a non-empty list of integers >= 10"),
+    "sizes": (lambda v: v and all(_int_at_least(n, 10) for n in v) and len(set(v)) == len(v),
+              "expected a non-empty list of distinct integers >= 10"),
     "observed": (lambda v: v and all(map(_int_at_least, v)) and len(set(v)) == len(v),
                  "expected a non-empty list of distinct component indices"),
 }
@@ -300,8 +290,9 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
 
     # Rules across keys, once every key is valid on its own. FeatureSpec owns
     # its own rules (distinct degrees); its d is what the model will see.
-    if task in _TASK_SYSTEM:
-        d = get_system(_TASK_SYSTEM[task]).dim
+    make_system = _EXPERIMENTS[task][1]
+    if make_system is not None:
+        d = make_system().dim
         if "observed" in settings:
             observed, target = settings["observed"], settings["target"]
             if target in observed:
@@ -340,11 +331,11 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
 def validate_config(path, overrides: dict | None = None) -> ExperimentConfig:
     """Load a config file, replace its keys by ``overrides`` and validate it."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError([f"config: {path} is not valid JSON: {exc}"]) from exc
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
@@ -376,7 +367,7 @@ def _ground_truth(config: ExperimentConfig, system: SystemDef, n_samples: int,
     return integrate(system, _integration_config(config, x0, n_samples, method=method))
 
 
-def _ranked_readout(model: NgrcModel, components: list[str]) -> list[dict]:
+def _ranked_readout(model: NgrcModel, components: tuple[str, ...]) -> list[dict]:
     """All readout entries sorted by |weight| descending, with labels."""
     obs_names = [components[i] for i in model.input_indices]
     labels = feature_names(model.spec, obs_names)
@@ -391,8 +382,7 @@ def _horizon_steps(config: ExperimentConfig, system: SystemDef, key: str) -> int
     return max(1, int(round(config[key] * system.lyapunov_time / config["dt"])))
 
 
-def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
-    system = get_system(_TASK_SYSTEM[config.task])
+def _run_forecast(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     spec = config.feature_spec(system.dim)
     train_points = config["train_points"]
     n_test = _horizon_steps(config, system, "test_horizon")
@@ -406,8 +396,7 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
         mother = _ground_truth(config, system, n_mother)
     scaling = ScalingVector.from_series(mother)
 
-    true_uss = (verify.lorenz_uss() if system.name == "lorenz63"
-                else verify.solve_double_scroll_uss())
+    true_uss = system.steady_states()
 
     # Segment 0 is the canonical model and runs on for the return map; the
     # others are retrained on the following training-length windows of the
@@ -445,7 +434,6 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
                 "segments_converged": len(dists),
             })
 
-    components = _COMPONENT_NAMES[system.name]
     summary = {
         "task": config.task,
         "system": system.name,
@@ -466,14 +454,14 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
 
     if n_return > 0:
         with _stage("return map"):
-            z_index = 2 if system.name == "lorenz63" else 0
+            component = system.return_map_component
             truth_map = verify.extract_return_map(
-                mother.segment(train_points, train_points + n_return), z_index)
-            pred_map = verify.extract_return_map(predicted.segment(0, n_return), z_index)
+                mother.segment(train_points, train_points + n_return), component)
+            pred_map = verify.extract_return_map(predicted.segment(0, n_return), component)
             deviation = verify.return_map_deviation(pred_map, truth_map)
             m_range = float(truth_map.maxima.max() - truth_map.maxima.min())
             summary["return_map"] = {
-                "component": components[z_index],
+                "component": system.components[component],
                 "deviation": deviation,
                 "truth_range": m_range,
                 "relative_deviation": deviation / m_range,
@@ -483,7 +471,7 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
             truth_map.to_csv(out / "return_map_truth.csv")
             pred_map.to_csv(out / "return_map_forecast.csv")
 
-    summary["readout_ranked"] = _ranked_readout(model, components)
+    summary["readout_ranked"] = _ranked_readout(model, system.components)
 
     train.to_csv(out / "train.csv")
     truth_test.to_csv(out / "truth.csv")
@@ -492,8 +480,7 @@ def _run_forecast(config: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _run_infer(config: ExperimentConfig, out: Path) -> dict:
-    system = get_system(_TASK_SYSTEM[config.task])
+def _run_infer(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     observed = tuple(config["observed"])
     target = config["target"]
     spec = config.feature_spec(len(observed))
@@ -515,7 +502,6 @@ def _run_infer(config: ExperimentConfig, out: Path) -> dict:
             spec.warmup_index, test.n_samples)
         test_nrmse = verify.nrmse(inferred, truth_target, target_scaling)
 
-    components = _COMPONENT_NAMES[system.name]
     summary = {
         "task": config.task,
         "system": system.name,
@@ -529,7 +515,7 @@ def _run_infer(config: ExperimentConfig, out: Path) -> dict:
         "train_nrmse": model.metadata["train_nrmse"],
         "test_nrmse": test_nrmse,
         "test_to_train_ratio": test_nrmse / model.metadata["train_nrmse"],
-        "readout_ranked": _ranked_readout(model, components),
+        "readout_ranked": _ranked_readout(model, system.components),
     }
 
     train.to_csv(out / "train.csv")
@@ -539,8 +525,7 @@ def _run_infer(config: ExperimentConfig, out: Path) -> dict:
     return summary
 
 
-def _run_sweep(config: ExperimentConfig, out: Path) -> dict:
-    system = get_system(_TASK_SYSTEM[config.task])
+def _run_sweep(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     spec = config.feature_spec(system.dim)
     sizes = sorted(config["sizes"])
     segments = config["segments"]
@@ -583,8 +568,7 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def _run_noise(config: ExperimentConfig, out: Path) -> dict:
-    system = get_system(_TASK_SYSTEM[config.task])
+def _run_noise(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     spec = config.feature_spec(system.dim)
     train_points = config["train_points"]
     n_horizon = _horizon_steps(config, system, "rmse_horizon")
@@ -638,7 +622,7 @@ def _run_noise(config: ExperimentConfig, out: Path) -> dict:
     }
 
 
-def _run_complexity(config: ExperimentConfig, out: Path) -> dict:
+def _run_complexity(config: ExperimentConfig, system: None, out: Path) -> dict:
     tables = []
     for case in baseline.COMPLEXITY_CASES:
         ng = baseline.CostParams(**case["ngrc"])
@@ -652,8 +636,7 @@ def _run_complexity(config: ExperimentConfig, out: Path) -> dict:
     return {"task": config.task, "tables": tables}
 
 
-def _run_baseline(config: ExperimentConfig, out: Path) -> dict:
-    system = get_system(_TASK_SYSTEM[config.task])
+def _run_baseline(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     train_points, warmup_points = config["train_points"], config["warmup_points"]
 
     with _stage("integrate ground truth"):
@@ -697,14 +680,16 @@ def _run_baseline(config: ExperimentConfig, out: Path) -> dict:
     }
 
 
-_RUNNERS = {
-    "forecast-lorenz": _run_forecast,
-    "forecast-doublescroll": _run_forecast,
-    "infer-lorenz": _run_infer,
-    "sweep-trainsize": _run_sweep,
-    "noise-lorenz": _run_noise,
-    "complexity": _run_complexity,
-    "baseline-rc": _run_baseline,
+# Each task's runner and the factory of the system it runs on (None for a
+# task without one). The system is built anew for every run and validation.
+_EXPERIMENTS = {
+    "forecast-lorenz": (_run_forecast, lorenz63),
+    "forecast-doublescroll": (_run_forecast, double_scroll),
+    "infer-lorenz": (_run_infer, lorenz63),
+    "sweep-trainsize": (_run_sweep, lorenz63),
+    "noise-lorenz": (_run_noise, lorenz63),
+    "complexity": (_run_complexity, None),
+    "baseline-rc": (_run_baseline, lorenz63),
 }
 
 
@@ -732,7 +717,8 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary = _RUNNERS[config.task](config, out)
+    runner, make_system = _EXPERIMENTS[config.task]
+    summary = runner(config, make_system() if make_system else None, out)
 
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -794,11 +780,16 @@ def main(argv=None) -> int:
 
     if args.command == "report":
         summary_path = Path(args.dir) / "summary.json"
-        if not summary_path.exists():
-            print(f"error: no summary.json under {args.dir}", file=sys.stderr)
+        try:
+            with open(summary_path, encoding="utf-8") as fh:
+                summary = json.load(fh)
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+            print(f"error: cannot read {summary_path}: {exc}", file=sys.stderr)
             return 2
-        with open(summary_path) as fh:
-            _print_report(json.load(fh))
+        if not isinstance(summary, dict):
+            print(f"error: {summary_path} holds no run summary", file=sys.stderr)
+            return 2
+        _print_report(summary)
         return 0
 
     overrides = {}

@@ -1,4 +1,4 @@
-"""Ground-truth chaotic systems and their integrators.
+"""Ground-truth chaotic systems, their steady states and their integrators.
 
 Deterministic trajectories come from an adaptive explicit Runge-Kutta pair
 sampled on the uniform dt grid: Bogacki-Shampine 3(2) ("RK23", the default)
@@ -45,17 +45,28 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SystemDef:
-    """A named autonomous ODE vector field.
+    """A named autonomous ODE vector field and what the tasks need to know of it.
 
     ``rhs`` maps a state to its slope. ``integrate`` calls it with a list of
     floats and accepts a list or an array back; ``integrate_noisy`` calls it
-    with a (dim, paths) array of states as columns.
+    with a (dim, paths) array of states as columns. ``components`` names the
+    state components, ``start`` is the fixed off-attractor point that
+    ``on_attractor_state`` runs its transient from, ``steady_states()``
+    gives the true steady states, and the maxima of component
+    ``return_map_component`` form the return map.
     """
 
     name: str
-    dim: int
+    components: tuple[str, ...]
     lyapunov_time: float
     rhs: Callable[[list[float] | np.ndarray], list[float] | np.ndarray]
+    start: tuple[float, ...]
+    steady_states: Callable[[], list[np.ndarray]]
+    return_map_component: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.components)
 
 
 @dataclass(frozen=True)
@@ -84,16 +95,17 @@ class IntegrationConfig:
             raise ValueError(f"dt = {self.dt} divides t_span {self.t_span} into too many steps")
         if not round(steps) >= 1:
             raise ValueError(f"time span {self.t_span} holds no step of dt = {self.dt}")
-        if self.noise_rms < 0:
-            raise ValueError(f"noise_rms must be nonnegative, got {self.noise_rms}")
-        if self.substeps < 1:
-            raise ValueError(f"substeps must be >= 1, got {self.substeps}")
+        if not 0 <= self.noise_rms < math.inf:
+            raise ValueError(f"noise_rms must be nonnegative and finite, got {self.noise_rms}")
+        if not (float(self.substeps).is_integer() and self.substeps >= 1):
+            raise ValueError(f"substeps must be an integer >= 1, got {self.substeps}")
         if self.method not in _PAIRS:
             raise ValueError(f"method must be one of {tuple(_PAIRS)}, got {self.method!r}")
         state = np.asarray(self.initial_state, dtype=float)
         if state.ndim != 1 or not np.all(np.isfinite(state)):
             raise ValueError(f"initial_state must be a finite 1-D vector, got {state}")
         object.__setattr__(self, "initial_state", state)
+        object.__setattr__(self, "substeps", int(self.substeps))
 
     def grid(self) -> np.ndarray:
         """The sample times t0 + m*dt covering the span (exact arithmetic)."""
@@ -103,11 +115,9 @@ class IntegrationConfig:
 
 
 LORENZ_PARAMS = {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}
+_SIGMA, _RHO, _BETA = LORENZ_PARAMS["sigma"], LORENZ_PARAMS["rho"], LORENZ_PARAMS["beta"]
 
 DOUBLE_SCROLL_PARAMS = {"r1": 1.2, "r2": 3.44, "r4": 0.193, "alpha": 11.6, "ir": 2.25e-5}
-
-# Pre-transient starting points for on-attractor initial conditions.
-_SEED_STATE = {"lorenz63": (1.0, 1.0, 1.0), "double_scroll": (0.1, 0.1, 0.1)}
 
 
 def lorenz63_rhs(state):
@@ -121,7 +131,7 @@ def lorenz63_rhs(state):
     """
     as_list = isinstance(state, list)
     x, y, z = state if as_list else state.tolist() if state.ndim == 1 else state
-    slope = [10.0 * (y - x), x * (28.0 - z) - y, x * y - 8.0 / 3.0 * z]
+    slope = [_SIGMA * (y - x), x * (_RHO - z) - y, x * y - _BETA * z]
     return slope if as_list else np.array(slope)
 
 
@@ -142,29 +152,63 @@ def double_scroll_rhs(state):
     return slope if as_list else np.array(slope)
 
 
-def lorenz63() -> SystemDef:
-    return SystemDef(
-        name="lorenz63",
-        dim=3,
-        lyapunov_time=1.1,
-        rhs=lorenz63_rhs,
+def lorenz_uss() -> list[np.ndarray]:
+    """The three steady states of the Lorenz system, analytically."""
+    r = np.sqrt(_BETA * (_RHO - 1.0))
+    return [
+        np.zeros(3),
+        np.array([r, r, _RHO - 1.0]),
+        np.array([-r, -r, _RHO - 1.0]),
+    ]
+
+
+def double_scroll_uss_equation(v1: float) -> float:
+    """Residual whose positive root gives the nonzero steady-state voltage."""
+    p = DOUBLE_SCROLL_PARAMS
+    return v1 / p["r2"] * (p["r1"] - p["r4"] - p["r2"]) + 2.0 * p["r1"] * p["ir"] * np.sinh(
+        p["alpha"] * (1.0 - p["r4"] / p["r1"]) * v1
     )
+
+
+def solve_double_scroll_uss() -> list[np.ndarray]:
+    """The origin plus the symmetric steady-state pair of the circuit.
+
+    The positive root of the transcendental balance is bracketed on
+    [1e-6, 5] and bisected until the bracket ends are adjacent floats; the
+    end with the smaller residual is the root, and its residual must be
+    below 1e-12. The full states follow from the zero-derivative relations
+    V2 = V1*R4/R1, I = V1/R1.
+    """
+    p = DOUBLE_SCROLL_PARAMS
+    lo, hi = 1e-6, 5.0
+    f_lo, f_hi = double_scroll_uss_equation(lo), double_scroll_uss_equation(hi)
+    if f_lo * f_hi >= 0:
+        raise RuntimeError(f"no sign change on [{lo}, {hi}]: cannot bracket the root")
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        f_mid = double_scroll_uss_equation(mid)
+        if (f_mid < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    v1, residual = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
+    if abs(residual) > 1e-12:
+        raise RuntimeError(f"bisection stalled at residual {residual}")
+    state = np.array([v1, v1 * p["r4"] / p["r1"], v1 / p["r1"]])
+    return [np.zeros(3), state, -state]
+
+
+# The factories build a SystemDef on every call, so that it holds the vector
+# field the module names at that moment.
+def lorenz63() -> SystemDef:
+    return SystemDef(name="lorenz63", components=("x", "y", "z"), lyapunov_time=1.1,
+                     rhs=lorenz63_rhs, start=(1.0, 1.0, 1.0), steady_states=lorenz_uss,
+                     return_map_component=2)
 
 
 def double_scroll() -> SystemDef:
-    return SystemDef(
-        name="double_scroll",
-        dim=3,
-        lyapunov_time=7.81,
-        rhs=double_scroll_rhs,
-    )
-
-
-def get_system(name: str) -> SystemDef:
-    factories = {"lorenz63": lorenz63, "double_scroll": double_scroll}
-    if name not in factories:
-        raise ValueError(f"unknown system {name!r}; expected one of {sorted(factories)}")
-    return factories[name]()
+    return SystemDef(name="double_scroll", components=("V1", "V2", "I"), lyapunov_time=7.81,
+                     rhs=double_scroll_rhs, start=(0.1, 0.1, 0.1),
+                     steady_states=solve_double_scroll_uss, return_map_component=0)
 
 
 # Bogacki-Shampine 3(2) tableau and dense-output matrix, as in
@@ -441,16 +485,15 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
 
 def on_attractor_state(system: SystemDef, transient: float, rtol: float = 1e-8,
                        atol: float = 1e-10, method: str = "RK23") -> np.ndarray:
-    """The state at time ``transient`` of a run from a canonical start point.
+    """The state at time ``transient`` of a run from ``system.start``.
 
-    Each system has one fixed off-attractor start point, so the result is
-    deterministic. The run is sampled only at its end (a grid of
-    [0, transient]), so RK23's dense output is evaluated once and DOP853
-    steps freely until its last step.
+    The start point is fixed, so the result is deterministic. The run is
+    sampled only at its end (a grid of [0, transient]), so RK23's dense
+    output is evaluated once and DOP853 steps freely until its last step.
     """
     if not 0 < transient < math.inf:
         raise ValueError(f"transient must be a positive finite time, got {transient!r}")
-    start = np.array(_SEED_STATE[system.name])
-    config = IntegrationConfig(dt=transient, t_span=(0.0, transient), initial_state=start,
+    config = IntegrationConfig(dt=transient, t_span=(0.0, transient),
+                               initial_state=np.array(system.start),
                                rtol=rtol, atol=atol, method=method)
     return integrate(system, config).values[-1].copy()

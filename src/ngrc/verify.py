@@ -15,7 +15,6 @@ import numpy as np
 
 from .features import total_features
 from .model import Mode, NgrcModel
-from .systems import DOUBLE_SCROLL_PARAMS, LORENZ_PARAMS
 from .timeseries import TimeSeries
 
 
@@ -31,8 +30,8 @@ class ScalingVector:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
-        if values.size == 0 or np.any(values <= 0):
-            raise ValueError("scaling entries must be strictly positive")
+        if values.size == 0 or not np.all((values > 0) & np.isfinite(values)):
+            raise ValueError(f"scaling entries must be positive and finite, got {values}")
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -117,52 +116,6 @@ def valid_time(predicted: TimeSeries, truth: TimeSeries, scaling: ScalingVector,
     if exceeded.size == 0:
         return truth.duration / lyapunov_time
     return float(exceeded[0] * truth.dt / lyapunov_time)
-
-
-def lorenz_uss() -> list[np.ndarray]:
-    """The three steady states of the Lorenz system, analytically."""
-    beta, rho = LORENZ_PARAMS["beta"], LORENZ_PARAMS["rho"]
-    r = np.sqrt(beta * (rho - 1.0))
-    return [
-        np.zeros(3),
-        np.array([r, r, rho - 1.0]),
-        np.array([-r, -r, rho - 1.0]),
-    ]
-
-
-def double_scroll_uss_equation(v1: float) -> float:
-    """Residual whose positive root gives the nonzero steady-state voltage."""
-    p = DOUBLE_SCROLL_PARAMS
-    return v1 / p["r2"] * (p["r1"] - p["r4"] - p["r2"]) + 2.0 * p["r1"] * p["ir"] * np.sinh(
-        p["alpha"] * (1.0 - p["r4"] / p["r1"]) * v1
-    )
-
-
-def solve_double_scroll_uss() -> list[np.ndarray]:
-    """The origin plus the symmetric steady-state pair of the circuit.
-
-    The positive root of the transcendental balance is bracketed on
-    [1e-6, 5] and bisected until the bracket ends are adjacent floats; the
-    end with the smaller residual is the root, and its residual must be
-    below 1e-12. The full states follow from the zero-derivative relations
-    V2 = V1*R4/R1, I = V1/R1.
-    """
-    p = DOUBLE_SCROLL_PARAMS
-    lo, hi = 1e-6, 5.0
-    f_lo, f_hi = double_scroll_uss_equation(lo), double_scroll_uss_equation(hi)
-    if f_lo * f_hi >= 0:
-        raise RuntimeError(f"no sign change on [{lo}, {hi}]: cannot bracket the root")
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        f_mid = double_scroll_uss_equation(mid)
-        if (f_mid < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    v1, residual = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
-    if abs(residual) > 1e-12:
-        raise RuntimeError(f"bisection stalled at residual {residual}")
-    state = np.array([v1, v1 * p["r4"] / p["r1"], v1 / p["r1"]])
-    return [np.zeros(3), state, -state]
 
 
 def learned_map_residual(model: NgrcModel, state: np.ndarray) -> np.ndarray:

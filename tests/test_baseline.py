@@ -46,6 +46,12 @@ def test_reservoir_params_validation():
         ReservoirParams(n_nodes=10, sigma_r=0.0)
     with pytest.raises(ValueError):
         ReservoirParams(n_nodes=10, activation="relu")
+    with pytest.raises(ValueError, match="n_nodes"):
+        ReservoirParams(n_nodes=2.5)
+    for field in ("spectral_radius", "input_scale"):
+        for bad in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match=field):
+                ReservoirParams(n_nodes=10, **{field: bad})
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -12,9 +12,9 @@ import ngrc.cli
 from ngrc import (
     CostParams,
     IntegrationError,
+    double_scroll,
     estimate_cost,
     feature_names,
-    get_system,
     load_model,
     on_attractor_state,
 )
@@ -112,6 +112,7 @@ def test_resolve_config_type_strictness(tmp_path):
         ({"task": "infer-lorenz", "observed": [0, 7]}, "observed"),
         ({"task": "infer-lorenz", "observed": [True, 1]}, "observed"),
         ({"task": "infer-lorenz", "observed": [1, 1]}, "observed"),
+        ({"task": "sweep-trainsize", "sizes": [100, 100, 1000]}, "sizes"),
         ({"task": "forecast-lorenz", "transient_time": 0}, "transient_time"),
         ({"task": "forecast-lorenz", "uss_segments": 0}, "uss_segments"),
         # fewer samples than one delay window (plus a target for forecasters)
@@ -153,7 +154,7 @@ def test_tracked_readout_labels_match_feature_layout(task):
     # at the column that the current feature_names gives its label
     model = load_model(ROOT / "runs" / task / "model.json")
     summary = json.loads((ROOT / "runs" / task / "summary.json").read_text())
-    components = ngrc.cli._COMPONENT_NAMES[ngrc.cli._TASK_SYSTEM[task]]
+    components = ngrc.cli._EXPERIMENTS[task][1]().components
     names = feature_names(model.spec, [components[i] for i in model.input_indices])
     weights = model.readout.weights
     assert len(summary["readout_ranked"]) == weights.size
@@ -161,13 +162,20 @@ def test_tracked_readout_labels_match_feature_layout(task):
         assert weights[e["output"], names.index(e["feature"])] == e["weight"]
 
 
-def test_validate_config_file_errors(tmp_path):
+def test_validate_config_file_errors(tmp_path, capsys):
     with pytest.raises(ConfigError, match="cannot read"):
         validate_config(tmp_path / "missing.json")
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(ConfigError, match="not valid JSON"):
         validate_config(bad)
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"task": "complexity", "out_dir": "caf\xe9"}')
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        validate_config(latin1)
+    for path in (tmp_path / "missing.json", bad, latin1, tmp_path):
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 def test_main_validate_subcommand(tmp_path, capsys):
@@ -208,14 +216,47 @@ def test_main_run_complexity_writes_artifacts(tmp_path, capsys):
                                   "sweep-trainsize", "noise-lorenz", "infer-lorenz"])
 def test_canonical_runs_reproduce_tracked_outputs_byte_for_byte(task, tmp_path):
     # every canonical task but complexity, which
-    # test_main_run_complexity_writes_artifacts pins; every tracked file must
-    # come out again
-    tracked = sorted((ROOT / "runs" / task).iterdir())
+    # test_main_run_complexity_writes_artifacts pins
     assert main(["run", str(ROOT / "configs" / f"{task}.json"), "--out", str(tmp_path),
                  "--quiet"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [p.name for p in tracked]
+    assert_matches_tracked_run(task, tmp_path)
+
+
+def assert_matches_tracked_run(task, out):
+    """Every tracked file of the task's canonical run comes out again, byte for byte."""
+    tracked = sorted((ROOT / "runs" / task).iterdir())
+    assert sorted(p.name for p in out.iterdir()) == [p.name for p in tracked]
     for path in tracked:
-        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+        assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def subprocess_env(**variables):
+    """This environment with ngrc's sources importable, plus ``variables``."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **variables}
+
+
+_RUN_CANONICAL = """
+import sys
+from ngrc.cli import main
+out, tasks = sys.argv[1], sys.argv[2:]
+sys.exit(any(main(["run", f"configs/{task}.json", "--out", f"{out}/{task}", "--quiet"])
+             for task in tasks))
+"""
+
+
+@pytest.mark.parametrize("tasks", [
+    ("forecast-doublescroll", "noise-lorenz"),
+    pytest.param(("baseline-rc",), marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="ROADMAP item 4: baseline-rc's train_nrmse moves in the 14th digit")),
+])
+def test_canonical_runs_are_byte_identical_at_one_blas_thread(tasks, tmp_path):
+    # OpenBLAS reads its thread count when numpy loads, hence the subprocess
+    subprocess.run([sys.executable, "-c", _RUN_CANONICAL, str(tmp_path), *tasks], cwd=ROOT,
+                   env=subprocess_env(OPENBLAS_NUM_THREADS="1"), check=True, timeout=300)
+    for task in tasks:
+        assert_matches_tracked_run(task, tmp_path / task)
 
 
 def test_main_run_small_baseline(tmp_path):
@@ -282,6 +323,15 @@ def test_main_report_subcommand(tmp_path, capsys):
 
     assert main(["report", str(tmp_path / "never-ran")]) == 2
     assert "summary.json" in capsys.readouterr().err
+    for i, contents in enumerate(["{truncated", "[1, 2]", None]):
+        broken = tmp_path / f"broken{i}"
+        if contents is None:
+            (broken / "summary.json").mkdir(parents=True)
+        else:
+            broken.mkdir()
+            (broken / "summary.json").write_text(contents)
+        assert main(["report", str(broken)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_forecast_summary_is_finite_and_complete(tmp_path):
@@ -326,7 +376,7 @@ def test_main_reports_data_dependent_failures_as_numerical(tmp_path, capsys):
 
 
 def _runner_raising(error):
-    def runner(config, out):
+    def runner(config, system, out):
         with ngrc.cli._stage("failing stage"):
             raise error
     return runner
@@ -336,14 +386,14 @@ def test_main_reports_only_numerical_errors_as_numerical_failure(tmp_path, capsy
                                                                  monkeypatch):
     config = write_config(tmp_path, {"task": "complexity"})
     out = str(tmp_path / "out")
-    monkeypatch.setitem(ngrc.cli._RUNNERS, "complexity",
-                        _runner_raising(IntegrationError("step size underflow")))
+    monkeypatch.setitem(ngrc.cli._EXPERIMENTS, "complexity",
+                        (_runner_raising(IntegrationError("step size underflow")), None))
     assert main(["run", config, "--out", out, "--quiet"]) == 3
     assert "failing stage" in capsys.readouterr().err
 
     # a programming error is not a numerical failure: it propagates as is
     for error in (TypeError("bad call"), KeyError("missing")):
-        monkeypatch.setitem(ngrc.cli._RUNNERS, "complexity", _runner_raising(error))
+        monkeypatch.setitem(ngrc.cli._EXPERIMENTS, "complexity", (_runner_raising(error), None))
         with pytest.raises(type(error)):
             main(["run", config, "--out", out, "--quiet"])
 
@@ -386,7 +436,7 @@ def test_transient_time_must_hold_one_transient_step(tmp_path):
     doc = {"task": "forecast-doublescroll", "transient_time": 0.004}
     assert main(["validate", write_config(tmp_path, doc), "--quiet"]) == 0
     # validation accepts exactly the transients that on_attractor_state runs
-    system = get_system("double_scroll")
+    system = double_scroll()
     for transient in (0, -1, 0.004, 0.005, 0.0051, 0.01, 0.1, float("inf")):
         try:
             on_attractor_state(system, transient)
@@ -409,9 +459,6 @@ def test_importing_the_cli_loads_no_integrate_or_optimize():
     # time and memory. The double-scroll steady state once loaded it lazily.
     code = ("import sys, ngrc, ngrc.cli; ngrc.solve_double_scroll_uss(); "
             "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
-                                                       os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                            text=True, check=True, timeout=120)
+    result = subprocess.run([sys.executable, "-c", code], env=subprocess_env(),
+                            capture_output=True, text=True, check=True, timeout=120)
     assert result.stdout.strip() == "[]"

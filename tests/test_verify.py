@@ -29,7 +29,8 @@ from ngrc import (
     uss_report,
     valid_time,
 )
-from ngrc.verify import _DEVIATION_ROWS, double_scroll_uss_equation, learned_map_residual
+from ngrc.systems import double_scroll_uss_equation
+from ngrc.verify import _DEVIATION_ROWS, learned_map_residual
 
 FORECAST_RUN = Path(__file__).resolve().parent.parent / "runs" / "forecast-lorenz"
 
@@ -58,6 +59,9 @@ def test_scaling_vector_from_series_and_validation():
         ScalingVector(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
         ScalingVector(np.array([-1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ScalingVector(np.array([bad, 1.0]))
 
 
 def test_nrmse_hand_case():
