@@ -132,11 +132,9 @@ class CostParams:
     sigma_r: float = 0.0
 
     def __post_init__(self):
-        for name in ("m_warmup", "m_train", "n_total", "n_nonlinear", "n_nodes"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        if self.sigma_r < 0:
-            raise ValueError("sigma_r must be nonnegative")
+        for name in ("m_warmup", "m_train", "n_total", "n_nonlinear", "n_nodes", "sigma_r"):
+            if not 0 <= getattr(self, name) < inf:
+                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
 
 
 def training_cost_rc(params: CostParams) -> float:

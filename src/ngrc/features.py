@@ -16,15 +16,19 @@ feature j. The constant is ``(1, 0, ...)``, linear entry a is
 ``(2 + a, 0, ...)``, and each monomial is its exponent tuple shifted by 2
 and padded with 0 (the 1.0). The feature count and names come from it too.
 
-:func:`total_features` is the only code that builds features. It maps one
-linear block, or a batch of them stacked as columns, to the full features;
-training (:func:`feature_block`), the closed-loop rollout and the learned
-fixed point all go through it, so they see the same vector bit for bit.
+One loop builds every feature: ``_multiply_columns`` multiplies the table's
+columns of ``ext`` left to right. :func:`total_features` maps one linear
+block, or a batch of them stacked as columns, through it; training
+(:func:`feature_block`) and the learned fixed point go through
+:func:`total_features`, and the closed-loop rollout through the reusable
+buffers of :func:`feature_writer`, so they all see the same vector bit for
+bit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -35,6 +39,11 @@ from .timeseries import TimeSeries
 
 class WarmupError(ValueError):
     """Raised when an index precedes the first fully populated delay window."""
+
+
+def _is_whole(value) -> bool:
+    """Whether ``value`` is a whole number; NaN and the infinities are not."""
+    return -math.inf < value < math.inf and int(value) == value
 
 
 @dataclass(frozen=True)
@@ -62,12 +71,12 @@ class FeatureSpec:
         # a count read from JSON must not be truncated to an integer
         for name in ("d", "k", "s"):
             value = getattr(self, name)
-            if int(value) != value:
+            if not _is_whole(value):
                 raise ValueError(f"{name} must be an integer, got {value}")
             if value < 1:
                 raise ValueError(f"{name} must be >= 1, got {value}")
             object.__setattr__(self, name, int(value))
-        if any(int(p) != p for p in self.degrees):
+        if not all(_is_whole(p) for p in self.degrees):
             raise ValueError(f"degrees must be integers, got {self.degrees}")
         degrees = tuple(sorted(int(p) for p in self.degrees))
         if any(p < 2 for p in degrees):
@@ -130,12 +139,35 @@ def total_features(lin: np.ndarray, spec: FeatureSpec) -> np.ndarray:
         )
     ext = np.empty((spec.n_linear + 2, *lin.shape[1:]))
     ext[0], ext[1], ext[2:] = 1.0, spec.constant_value, lin
-    # the columns multiplied left to right: the association of np.prod
-    table = _layout(spec)
-    features = ext[table[:, 0]]
-    for column in table.T[1:]:
-        features *= ext[column]
-    return features
+    columns = _layout(spec).T
+    return _multiply_columns(ext, columns, np.empty((columns.shape[1], *lin.shape[1:])))
+
+
+def _multiply_columns(ext: np.ndarray, columns, out: np.ndarray) -> np.ndarray:
+    """Write into ``out`` the product of ``ext[columns[0]]``, ``ext[columns[1]]``, ...
+
+    ``columns`` are the layout table's columns. They are multiplied left to
+    right, the association of np.prod, so every caller gets the same bits.
+    """
+    out[...] = ext[columns[0]]
+    for column in columns[1:]:
+        out *= ext[column]
+    return out
+
+
+def feature_writer(spec: FeatureSpec):
+    """Buffers for forming the features of one linear block after another.
+
+    Returns ``(lin, features)``: write a linear block into ``lin``, a (k, d)
+    view whose row j is X_{i-js}, then ``features()`` returns its feature
+    vector, equal bit for bit to :func:`total_features` of that block. Each
+    call overwrites the vector the last one returned.
+    """
+    ext = np.empty(spec.n_linear + 2)
+    ext[0], ext[1] = 1.0, spec.constant_value
+    columns = [np.ascontiguousarray(column) for column in _layout(spec).T]
+    out = np.empty(len(columns[0]))
+    return ext[2:].reshape(spec.k, spec.d), lambda: _multiply_columns(ext, columns, out)
 
 
 def feature_block(series: TimeSeries, spec: FeatureSpec, indices) -> np.ndarray:

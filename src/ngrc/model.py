@@ -20,7 +20,8 @@ from .features import (
     WarmupError,
     feature_block,
     feature_length,
-    total_features,
+    feature_writer,
+    total_features,  # noqa: F401  (benchmarks trace features through ngrc.model)
 )
 from .regression import ReadoutMatrix, TrainingBlock, ridge_fit
 from .timeseries import TimeSeries
@@ -121,6 +122,12 @@ def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
     is fed back, so the model is a self-contained dynamical system. The
     returned series holds only the predicted samples and starts one dt
     after the last warm-up sample.
+
+    The feature buffers (``feature_writer``) are set up once per call. Each
+    step copies its delay window, a strided view of the buffer, into the
+    linear block, forms the features as ``total_features`` forms them and
+    adds ``weights @ features`` to the newest sample, so the rollout equals,
+    bit for bit, one ``total_features`` call per step.
     """
     if model.mode is not Mode.FORECAST_DELTA:
         raise ValueError(f"forecast requires a {Mode.FORECAST_DELTA.value} model, got {model.mode.value}")
@@ -137,18 +144,18 @@ def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
             f"warm-up has {warmup.n_components} components but spec.d = {spec.d}"
         )
     # Warm-up and predictions share one buffer, oldest first; the taps of
-    # step i sit at rows i + tap_rows, newest first.
+    # step i are rows i + depth - 1 - js of it, newest first.
     buf = np.empty((depth + n_steps, spec.d))
     buf[:depth] = warmup.values[-depth:]
-    tap_rows = depth - 1 - spec.s * np.arange(spec.k)
+    lin, features = feature_writer(spec)
     weights = model.readout.weights
     # A model that escapes its attractor overflows to inf/nan; downstream
     # metrics treat non-finite samples as failed predictions, so the rollout
     # itself must not raise.
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
-            delta = weights @ total_features(buf[i + tap_rows].ravel(), spec)
-            buf[depth + i] = buf[depth + i - 1] + delta
+            lin[...] = buf[i:i + depth:spec.s][::-1]
+            buf[depth + i] = buf[depth + i - 1] + weights @ features()
     return TimeSeries(dt=warmup.dt, values=buf[depth:], t0=warmup.t0 + warmup.n_samples * warmup.dt)
 
 

@@ -15,8 +15,12 @@ products, the interpolant) are numpy's BLAS calls on the operands and
 shapes scipy uses, since BLAS sums in its own order; all the elementwise
 arithmetic around them runs on lists of Python floats, which round as
 numpy's elementwise operations do and cost far less on three components.
-RK23 repeats ``scipy.integrate.solve_ivp(method="RK23", t_eval=grid)`` bit
-for bit. DOP853 repeats, bit for bit, scipy's DOP853 solver stepped to each
+RK23's interpolant is not evaluated step by step: the steps that hold grid
+times are recorded in a fixed-size chunk, and each chunk is sampled with a
+few stacked matrix products, which make the same BLAS call per step that
+one step's products make. RK23 repeats
+``scipy.integrate.solve_ivp(method="RK23", t_eval=grid)`` bit for bit.
+DOP853 repeats, bit for bit, scipy's DOP853 solver stepped to each
 grid time in turn, which cuts its last step there as it cuts one at
 ``t_bound``; that is not ``solve_ivp(t_eval=grid)``, which interpolates.
 
@@ -230,6 +234,9 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10
 _MIN_RTOL = 100 * np.finfo(float).eps
+# RK23 steps that hold grid times are recorded this many at a time before
+# their interpolants are evaluated together (see ``_runge_kutta``).
+_DENSE_CHUNK = 128
 
 
 def _rms(x) -> float:
@@ -241,21 +248,6 @@ def _rms(x) -> float:
 def _rk23_error_norm(KT: np.ndarray, h: float, scale: list[float]) -> float:
     """RMS of the embedded 2nd-order error estimate, relative to scale."""
     return _rms([e * h / s for e, s in zip(KT.dot(_RK23_E).tolist(), scale)])
-
-
-def _rk23_dense(K, h, y_old, x) -> np.ndarray:
-    """Cubic Hermite interpolant of the step at normalized times x.
-
-    The powers x, x^2, x^3 are associated as scipy's ``cumprod`` forms them.
-    """
-    Q = K.T.dot(_RK23_P)
-    p = np.empty((3, x.size))
-    p[0] = x
-    np.multiply(x, x, out=p[1])
-    np.multiply(p[1], x, out=p[2])
-    y_dense = h * Q.dot(p)
-    y_dense += np.array(y_old)[:, None]
-    return y_dense.T
 
 
 def _dop853_error_norm(KT: np.ndarray, h: float, scale: list[float]) -> float:
@@ -281,9 +273,9 @@ class _RungeKuttaPair:
     ``A`` holds the stage coefficients, one row per stage; row ``stages`` is
     ``B``, whose stage is the slope at the new point. ``error_order`` is the
     order of the error estimator. ``error_norm(K[:stages + 1].T, h, scale)``
-    decides acceptance. ``dense(K, h, y_old, x)`` gives the (len(x), dim)
-    values of the step's interpolant at normalized times x; a pair without
-    one (``dense=None``) lands its steps on the grid times instead.
+    decides acceptance. ``dense`` is the interpolant's coefficient matrix P:
+    at normalized time x in a step the state is y_old + h K.T P (x, x^2, ...).
+    A pair without one (``dense=None``) lands its steps on the grid times.
     """
 
     name: str
@@ -292,11 +284,11 @@ class _RungeKuttaPair:
     stages: int
     error_order: int
     error_norm: Callable[[np.ndarray, float, list[float]], float]
-    dense: Callable[..., np.ndarray] | None
+    dense: np.ndarray | None
 
 
 _PAIRS = {
-    "RK23": _RungeKuttaPair("RK23", _RK23_A, _RK23_B, 3, 2, _rk23_error_norm, _rk23_dense),
+    "RK23": _RungeKuttaPair("RK23", _RK23_A, _RK23_B, 3, 2, _rk23_error_norm, _RK23_P),
     "DOP853": _RungeKuttaPair("DOP853", _dop853.A, _dop853.B, _dop853.STAGES, 7,
                               _dop853_error_norm, None),
 }
@@ -319,6 +311,34 @@ def _initial_step(rhs, y0, f0, interval, rtol, atol, error_order) -> float:
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / (error_order + 1))
     return min(100 * h0, h1, interval)
+
+
+def _sample_steps(P: np.ndarray, K: np.ndarray, bounds: np.ndarray, steps: np.ndarray,
+                  grid: np.ndarray, out: np.ndarray) -> None:
+    """Evaluate recorded steps' interpolants on their grid times, into ``out``.
+
+    Step j has stages ``K[j]``, samples grid[first:stop] with (first, stop)
+    = ``bounds[j]``, and ``steps[j]`` = (t_old, h, *y_old). Each
+    ``np.matmul`` slice is one step's ``K.T.dot(P)`` or ``Q.dot(p)``, and
+    the steps are grouped by sample count; ``_runge_kutta`` says why.
+    """
+    Q = np.matmul(K.transpose(0, 2, 1), P)
+    groups: dict[int, list[int]] = {}
+    for j, m in enumerate((bounds[:, 1] - bounds[:, 0]).tolist()):
+        groups.setdefault(m, []).append(j)
+    for m, group in groups.items():
+        rows = bounds[group, :1] + np.arange(m)
+        t_old, h, y_old = steps[group, :1], steps[group, 1:2], steps[group, 2:]
+        x = (grid[rows] - t_old) / h
+        # the powers x, x^2, ... associated as scipy's cumprod forms them
+        p = np.empty((len(group), P.shape[1], m))
+        p[:, 0] = x
+        for i in range(1, P.shape[1]):
+            np.multiply(p[:, i - 1], x, out=p[:, i])
+        y = np.matmul(Q[group], p)
+        y *= h[:, :, None]
+        y += y_old[:, :, None]
+        out[rows] = y.transpose(0, 2, 1)
 
 
 def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
@@ -346,6 +366,19 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
     operation is elementwise and rounds the same on floats as on arrays.
     Both pairs share this loop, its step controller and its initial-step
     rule; they differ in the tableau, the error norm and the sampling.
+
+    RK23 samples in batches. Each accepted step that holds grid times has
+    its stages, sample bounds, start time, size and start state copied into
+    preallocated arrays of ``_DENSE_CHUNK`` rows; when they are full, and
+    after the last step, ``_sample_steps`` evaluates all their interpolants
+    at once. It stacks scipy's per-step products ``K.T.dot(P)`` and
+    ``Q.dot(p)`` into ``np.matmul`` calls, which make one BLAS call per
+    step with the same shapes, so every sample keeps its bits. The steps of
+    a chunk are grouped by their number of samples m: one step's m samples
+    are one product with m columns, which rounds differently from m
+    products of one column. The chunk is bounded so that the records stay
+    a few kilobytes, whatever the length of the run, and the batch
+    temporaries stay small.
     """
     times = grid.tolist()
     t, t_end = times[0], times[-1]
@@ -358,17 +391,25 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
         raise IntegrationError(f"{pair.name}: the vector field is not finite at t = {t!r}")
     h_abs = _initial_step(rhs, y0, np.asarray(f), t_end - t, rtol, atol, pair.error_order)
     error_exponent = -1 / (pair.error_order + 1)
-    A, B, stages, dense = pair.A, pair.B, pair.stages, pair.dense
+    A, B, stages, P = pair.A, pair.B, pair.stages, pair.dense
     # K holds the stages in rows, then the new slope; scipy combines them
     # through these views.
     K = np.empty((stages + 1, y0.size))
     step = [(s, K[:s].T, A[s, :s]) for s in range(1, stages)]
     BT, KT = K[:stages].T, K[:stages + 1].T
+    recorded = 0
+    if P is not None:
+        # the sampling steps waiting for their interpolants: stages, sample
+        # bounds, and (t_old, h, *y_old)
+        chunk = _DENSE_CHUNK
+        chunk_K = np.empty((chunk, stages + 1, y0.size))
+        chunk_bounds = np.empty((chunk, 2), dtype=np.intp)
+        chunk_steps = np.empty((chunk, 2 + y0.size))
     # A landing pair samples the start itself; RK23's interpolant samples it.
-    sampled = 0 if dense else bisect_right(times, t)
+    sampled = 0 if P is not None else bisect_right(times, t)
     out[:sampled] = y
     while t < t_end:
-        bound = t_end if dense else times[sampled]
+        bound = t_end if P is not None else times[sampled]
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -404,11 +445,20 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
         t, y, f = t_new, y_new, f_new
         stop = bisect_right(times, t, sampled)
         if stop > sampled:
-            if dense:
-                out[sampled:stop] = dense(K, h, y_old, (grid[sampled:stop] - t_old) / h)
-            else:
+            if P is None:
                 out[sampled:stop] = y
+            else:
+                chunk_K[recorded] = K
+                chunk_bounds[recorded] = sampled, stop
+                chunk_steps[recorded] = (t_old, h, *y_old)
+                recorded += 1
+                if recorded == chunk:
+                    _sample_steps(P, chunk_K, chunk_bounds, chunk_steps, grid, out)
+                    recorded = 0
             sampled = stop
+    if recorded:
+        _sample_steps(P, chunk_K[:recorded], chunk_bounds[:recorded],
+                      chunk_steps[:recorded], grid, out)
     return out
 
 

@@ -131,6 +131,11 @@ def test_cost_params_validation():
         CostParams(m_train=-1)
     with pytest.raises(ValueError):
         CostParams(sigma_r=-0.5)
+    # NaN fails every comparison, so a bare `< 0` check would let it through
+    for name in ("m_warmup", "m_train", "n_total", "n_nonlinear", "n_nodes", "sigma_r"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+                CostParams(**{name: value})
 
 
 def test_reservoir_forecast_smoke(accurate_lorenz):

@@ -277,6 +277,13 @@ def test_spec_validation_errors():
     for kw in (dict(d=1.5), dict(k=2.5), dict(s=0.5)):
         with pytest.raises(ValueError, match=f"{next(iter(kw))} must be an integer"):
             FeatureSpec(**{**dict(d=3, k=2, s=1, degrees=(2,)), **kw})
+    # non-finite values are rejected by name, not by int()'s OverflowError
+    for value in (math.inf, -math.inf, math.nan):
+        for name in ("d", "k", "s"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                FeatureSpec(**{**dict(d=3, k=2, s=1, degrees=(2,)), name: value})
+        with pytest.raises(ValueError, match="degrees must be integers"):
+            FeatureSpec(d=3, k=2, s=1, degrees=(2, value))
     spec = FeatureSpec(d=3.0, k=2.0, s=1.0, degrees=(2,))
     assert (spec.d, spec.k, spec.s) == (3, 2, 1) and type(spec.k) is int
     doc = to_document(NgrcModel(spec=FeatureSpec(d=1, k=2, s=1, degrees=(2,)),

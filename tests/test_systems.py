@@ -17,6 +17,7 @@ from ngrc import (
     lorenz63,
     on_attractor_state,
 )
+from ngrc import systems
 from ngrc.systems import DOUBLE_SCROLL_PARAMS, IntegrationConfig
 
 RUNS = Path(__file__).resolve().parent.parent / "runs"
@@ -399,6 +400,34 @@ def test_rk23_stepper_matches_solve_ivp_bit_for_bit(method, factory, dt, toleran
     assert success
     assert np.array_equal(series.values, values)
     assert rhs.calls == oracle_calls
+
+
+def test_rk23_sampling_in_chunks_matches_solve_ivp(monkeypatch):
+    # Lorenz at dt 0.01 and rtol 1e-3: the 39 steps that sample hold 1 to 5
+    # grid times each, so a chunk of 2 or 3 steps mixes sample counts.
+    # Chunks of 1 and 3 end exactly full; a chunk of 2 leaves one step over.
+    system = lorenz63()
+    config = IntegrationConfig(dt=0.01, t_span=(0.0, 1.0),
+                               initial_state=np.array([-5.0, 4.0, 25.0]), rtol=1e-3, atol=1e-6)
+    success, expected, oracle_calls = by_solve_ivp(counted(system.rhs), config)
+    assert success
+    flushed = []
+    sample_steps = systems._sample_steps
+
+    def counting_sample_steps(P, K, *rest):
+        flushed.append(len(K))
+        sample_steps(P, K, *rest)
+
+    monkeypatch.setattr(systems, "_sample_steps", counting_sample_steps)
+    for chunk, last in ((1, 1), (2, 1), (3, 3)):
+        monkeypatch.setattr(systems, "_DENSE_CHUNK", chunk)
+        flushed.clear()
+        rhs = counted(system.rhs)
+        series = integrate(dataclasses.replace(system, rhs=rhs), config)
+        assert np.array_equal(series.values, expected)
+        assert rhs.calls == oracle_calls
+        assert sum(flushed) == 39
+        assert flushed == [chunk] * (len(flushed) - 1) + [last]
 
 
 def test_rk23_stepper_raises_when_the_field_turns_nan():
