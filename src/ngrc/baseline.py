@@ -9,15 +9,16 @@ training-cost ratio between the two approaches.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, inf
+from math import ceil
 
 import numpy as np
 
+from ._checks import integer, number, one_of, reject
 from .timeseries import TimeSeries
 
 
 class ReservoirError(RuntimeError):
-    """Raised when a drawn adjacency matrix cannot be scaled to the spectral radius."""
+    """Raised when a drawn adjacency cannot be scaled or a reservoir state overflows."""
 
 
 @dataclass(frozen=True)
@@ -34,18 +35,14 @@ class ReservoirParams:
     seed: int = 0
 
     def __post_init__(self):
-        if not (float(self.n_nodes).is_integer() and self.n_nodes >= 1):
-            raise ValueError(f"n_nodes must be an integer >= 1, got {self.n_nodes}")
+        reject(integer("n_nodes", self.n_nodes, 1),
+               number("gamma", self.gamma, 0.0, 1.0),
+               number("spectral_radius", self.spectral_radius, 0.0, open_low=True),
+               number("sigma_r", self.sigma_r, 0.0, 1.0, open_low=True),
+               number("input_scale", self.input_scale, 0.0, open_low=True),
+               number("bias", self.bias),
+               one_of("activation", self.activation, ("tanh", "linear")))
         object.__setattr__(self, "n_nodes", int(self.n_nodes))
-        for name in ("spectral_radius", "input_scale"):
-            if not 0 < getattr(self, name) < inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 < self.sigma_r <= 1.0:
-            raise ValueError(f"sigma_r must be in (0, 1], got {self.sigma_r}")
-        if self.activation not in ("tanh", "linear"):
-            raise ValueError(f"activation must be 'tanh' or 'linear', got {self.activation!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +94,7 @@ def reservoir_run(reservoir: Reservoir, series: TimeSeries) -> np.ndarray:
 
     Column j of the returned (N x n_samples) matrix is the state after
     consuming sample j:  r <- (1 - gamma) r + gamma f(A r + W X + b).
+    Raises ReservoirError, naming the first step, when a state is not finite.
     """
     if series.n_components != reservoir.input_weights.shape[1]:
         raise ValueError(
@@ -108,9 +106,15 @@ def reservoir_run(reservoir: Reservoir, series: TimeSeries) -> np.ndarray:
     states = np.empty((reservoir.n_nodes, series.n_samples))
     r = np.zeros(reservoir.n_nodes)
     driven = series.values @ reservoir.input_weights.T + reservoir.bias
-    for j in range(series.n_samples):
-        r = (1.0 - gamma) * r + gamma * f(reservoir.adjacency @ r + driven[j])
-        states[:, j] = r
+    # A state that grows without bound overflows to inf/nan on its way out;
+    # that is reported below as ReservoirError, so the arithmetic must not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(series.n_samples):
+            r = (1.0 - gamma) * r + gamma * f(reservoir.adjacency @ r + driven[j])
+            states[:, j] = r
+    diverged = np.flatnonzero(~np.isfinite(states).all(axis=0))
+    if diverged.size:
+        raise ReservoirError(f"reservoir state is not finite at step {diverged[0]}")
     return states
 
 
@@ -132,9 +136,8 @@ class CostParams:
     sigma_r: float = 0.0
 
     def __post_init__(self):
-        for name in ("m_warmup", "m_train", "n_total", "n_nonlinear", "n_nodes", "sigma_r"):
-            if not 0 <= getattr(self, name) < inf:
-                raise ValueError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
+        reject(*(number(name, getattr(self, name), 0.0) for name in
+                 ("m_warmup", "m_train", "n_total", "n_nonlinear", "n_nodes", "sigma_r")))
 
 
 def training_cost_rc(params: CostParams) -> float:

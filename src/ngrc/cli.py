@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, verify
+from ._checks import ConfigError
 from .features import FeatureSpec, feature_names
 from .model import (
     NgrcModel,
@@ -31,7 +32,7 @@ from .model import (
     train_forecaster,
     train_inferrer,
 )
-from .regression import SingularSystemError
+from .regression import ReadoutMatrix, SingularSystemError, TrainingBlock, ridge_fit
 from .systems import (
     IntegrationConfig,
     IntegrationError,
@@ -41,17 +42,10 @@ from .systems import (
     integrate_noisy,
     lorenz63,
     on_attractor_state,
+    transient_config,
 )
 from .timeseries import TimeSeries
 from .verify import ScalingVector
-
-
-class ConfigError(ValueError):
-    """Invalid experiment config; carries one message per offending field."""
-
-    def __init__(self, messages):
-        self.messages = list(messages)
-        super().__init__("; ".join(self.messages))
 
 
 class NumericalFailure(RuntimeError):
@@ -81,6 +75,16 @@ _FEATURE_KEYS = {
     "degrees": [2],
     "include_constant": True,
     "constant_value": 1.0,
+}
+
+_RESERVOIR_KEYS = {
+    "n_nodes": 100,
+    "gamma": 1.0,
+    "spectral_radius": 0.9,
+    "sigma_r": 0.05,
+    "input_scale": 0.1,
+    "bias": 0.0,
+    "activation": "linear",
 }
 
 _FORECAST_KEYS = {
@@ -164,13 +168,7 @@ TASK_DEFAULTS: dict[str, dict] = {
         "train_points": 400,
         "warmup_points": 100,
         "alpha": 1e-6,
-        "n_nodes": 100,
-        "gamma": 1.0,
-        "spectral_radius": 0.9,
-        "sigma_r": 0.05,
-        "input_scale": 0.1,
-        "bias": 0.0,
-        "activation": "linear",
+        **_RESERVOIR_KEYS,
     },
 }
 
@@ -190,14 +188,7 @@ class ExperimentConfig:
         return self.settings[key]
 
     def feature_spec(self, d: int) -> FeatureSpec:
-        return FeatureSpec(
-            d=d,
-            k=self["k"],
-            s=self["s"],
-            degrees=tuple(self["degrees"]),
-            include_constant=self["include_constant"],
-            constant_value=self["constant_value"],
-        )
+        return FeatureSpec(d=d, **{key: self[key] for key in _FEATURE_KEYS})
 
     def to_document(self) -> dict:
         """Flat key/value map that reproduces this run when fed back in."""
@@ -207,61 +198,83 @@ class ExperimentConfig:
 
 
 _TYPE_NAMES = {bool: "true/false", int: "an integer", float: "a finite number",
-               str: "a string", list: "a list"}
+               str: "a string", list: "a list of integers"}
 
 
 def _has_type(value, default) -> bool:
-    """Whether ``value`` has the JSON type of ``default``: any finite number for a float."""
+    """Whether ``value`` has the JSON type of ``default``: any finite number for a
+    float, and a list of entries typed as the default's first for a list."""
     if isinstance(value, bool) != isinstance(default, bool):
         return False
     if isinstance(default, float):
         return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_type(v, default[0]) for v in value)
     return isinstance(value, type(default))
-
-
-def _int_at_least(v, least: int = 0) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
 
 
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
 _AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
-_POSITIVE = (lambda v: v > 0, "must be positive")
 _ANY_VALUE = (lambda v: True, None)
 
-# One (holds, message) rule per key that has an invariant beyond its type.
+# One (holds, message) rule per CLI-only key that has an invariant beyond its
+# type; the library objects built in resolve_config check the other keys.
 _RULES = {
-    **dict.fromkeys(("seed", "alpha", "test_horizon", "nrmse_horizon", "rmse_horizon",
-                     "threshold", "return_map_window", "noise_rms", "warmup_points",
-                     "target"), _NONNEGATIVE),
-    **dict.fromkeys(("k", "s", "train_points", "test_points", "n_nodes", "substeps",
-                     "repeats", "segments", "uss_segments"), _AT_LEAST_ONE),
-    **dict.fromkeys(("transient_time", "rtol", "atol", "spectral_radius",
-                     "input_scale"), _POSITIVE),
-    # a subnormal dt has no finite number of samples per time unit
-    "dt": (lambda v: v > 0 and math.isfinite(1 / v),
-           "must be positive with a finite reciprocal"),
-    "gamma": (lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
-    "sigma_r": (lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
-    "activation": (lambda v: v in ("tanh", "linear"), "must be 'tanh' or 'linear'"),
-    "degrees": (lambda v: all(_int_at_least(p, 2) for p in v),
-                "every degree must be an integer >= 2"),
-    "sizes": (lambda v: v and all(_int_at_least(n, 10) for n in v) and len(set(v)) == len(v),
+    **dict.fromkeys(("seed", "test_horizon", "nrmse_horizon", "rmse_horizon", "threshold",
+                     "return_map_window", "warmup_points", "target"), _NONNEGATIVE),
+    **dict.fromkeys(("train_points", "test_points", "repeats", "segments", "uss_segments"),
+                    _AT_LEAST_ONE),
+    # IntegrationConfig checks dt > 0; the horizon and window arithmetic here
+    # also needs finitely many samples per time unit, which a subnormal lacks
+    "dt": (lambda v: v <= 0 or 1 / v < math.inf, "must be positive with a finite reciprocal"),
+    "sizes": (lambda v: v and min(v) >= 10 and len(set(v)) == len(v),
               "expected a non-empty list of distinct integers >= 10"),
-    "observed": (lambda v: v and all(map(_int_at_least, v)) and len(set(v)) == len(v),
+    "observed": (lambda v: v and min(v) >= 0 and len(set(v)) == len(v),
                  "expected a non-empty list of distinct component indices"),
 }
 
 
+def _library_errors(config: ExperimentConfig, system: SystemDef, d: int) -> list[str]:
+    """The messages of the library objects that the task's runner builds, built as it
+    builds them but with the system's start point and two samples for its data."""
+    builders = {
+        "degrees": lambda: config.feature_spec(d),
+        "alpha": lambda: ReadoutMatrix(np.zeros((1, 1)), config["alpha"]),
+        "transient_time": lambda: transient_config(system, config["transient_time"],
+                                                   config["rtol"], config["atol"], "RK23"),
+        "dt": lambda: _integration_config(config, system.start, 2,
+                                          noisy="noise_rms" in config.settings),
+        "n_nodes": lambda: _reservoir_params(config),
+    }
+    errors = []
+    for key, build in builders.items():
+        try:
+            if key in config.settings:
+                build()
+        except ValueError as exc:
+            errors += [m for m in getattr(exc, "messages", [str(exc)]) if m not in errors]
+    return errors
+
+
+def _sample_count(time: float, dt: float) -> int | None:
+    """The whole number of samples of ``dt`` nearest ``time``; None if it is infinite."""
+    steps = time / dt
+    return round(steps) if steps < math.inf else None
+
+
 def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
-    """Fill defaults and check every field; reject unknown keys."""
+    """Fill defaults and check every field; reject unknown keys.
+
+    Library parameters are checked by building the objects that the task's
+    runner builds, so ``validate`` rejects what ``run`` would.
+    """
     errors = []
     if not isinstance(raw, dict):
         raise ConfigError([f"{source}: config must be a flat JSON object"])
     task = raw.get("task")
-    if task is None:
-        raise ConfigError(["task: missing (one of " + ", ".join(TASKS) + ")"])
     if task not in TASKS:
-        raise ConfigError([f"task: unknown task {task!r} (one of " + ", ".join(TASKS) + ")"])
+        problem = "missing" if task is None else f"unknown task {task!r}"
+        raise ConfigError([f"task: {problem} (one of " + ", ".join(TASKS) + ")"])
 
     defaults = {"seed": 0, "out_dir": f"runs/{task}", **TASK_DEFAULTS[task]}
     settings = dict(defaults)
@@ -283,44 +296,47 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
             continue
         settings[key] = value
 
-    if errors:
-        raise ConfigError(errors)
     config = ExperimentConfig(task=task, seed=settings.pop("seed"),
                               out_dir=settings.pop("out_dir"), settings=settings)
-
-    # Rules across keys, once every key is valid on its own. FeatureSpec owns
-    # its own rules (distinct degrees); its d is what the model will see.
     make_system = _EXPERIMENTS[task][1]
     if make_system is not None:
-        d = make_system().dim
-        if "observed" in settings:
-            observed, target = settings["observed"], settings["target"]
-            if target in observed:
-                errors.append("target: must not be among the observed components")
-            for key, indices in (("observed", observed), ("target", [target])):
-                if max(indices) >= d:
-                    errors.append(f"{key}: component indices must be < {d}, "
-                                  f"got {settings[key]}")
-            d = len(observed)
-        if "degrees" in settings:
-            try:
-                spec = config.feature_spec(d)
-            except ValueError as exc:
-                errors.append(f"features: {exc}")
-            else:
-                # Every window needs one full delay window per feature vector;
-                # a forecaster also needs the sample after it as a target.
-                need = spec.warmup_index + (1 if "observed" in settings else 2)
-                for key in ("train_points", "test_points", "sizes"):
-                    if key in settings and np.min(settings[key]) < need:
-                        errors.append(f"{key}: need at least {need} samples for the "
-                                      f"delay window of k={spec.k}, s={spec.s}, "
-                                      f"got {settings[key]}")
+        system = make_system()
+        # the model sees the observed components only
+        d = len(settings["observed"]) if "observed" in settings else system.dim
+        errors += _library_errors(config, system, d)
+    if errors:
+        raise ConfigError(errors)
+    if make_system is None:
+        return config
+
+    # Rules across keys, once every key is valid on its own.
+    if "observed" in settings:
+        observed, target = settings["observed"], settings["target"]
+        if target in observed:
+            errors.append("target: must not be among the observed components")
+        for key, indices in (("observed", observed), ("target", [target])):
+            if max(indices) >= system.dim:
+                errors.append(f"{key}: component indices must be < {system.dim}, "
+                              f"got {settings[key]}")
+    if "degrees" in settings:
+        spec = config.feature_spec(d)
+        # Every window needs one full delay window per feature vector; a
+        # forecaster also needs the sample after it as a target.
+        need = spec.warmup_index + (1 if "observed" in settings else 2)
+        for key in ("train_points", "test_points", "sizes"):
+            if key in settings and np.min(settings[key]) < need:
+                errors.append(f"{key}: need at least {need} samples for the "
+                              f"delay window of k={spec.k}, s={spec.s}, "
+                              f"got {settings[key]}")
+    dt = settings["dt"]
+    for key in ("test_horizon", "nrmse_horizon", "rmse_horizon"):  # in Lyapunov times
+        if key in settings and _sample_count(settings[key] * system.lyapunov_time, dt) is None:
+            errors.append(f"{key}: must span finitely many samples of dt={dt}, "
+                          f"got {settings[key]!r}")
     # Two refined maxima need two 5-point stencils whose centres are 2 apart:
-    # round(window / dt) >= 7 samples, a test that cannot overflow this way;
-    # an infinite quotient is a sample count that round() cannot hold.
-    window, dt = settings.get("return_map_window", 0.0), settings.get("dt")
-    if window > 0 and not 6.5 < window / dt < math.inf:
+    # at least 7 samples.
+    window = settings.get("return_map_window", 0.0)
+    if window > 0 and not 7 <= (_sample_count(window, dt) or 0):
         errors.append(f"return_map_window: must be 0 (no return map) or span at least "
                       f"7 and finitely many samples of dt={dt}, got {window!r}")
     if errors:
@@ -346,17 +362,14 @@ def validate_config(path, overrides: dict | None = None) -> ExperimentConfig:
 # Experiment stages
 
 
-def _integration_config(config: ExperimentConfig, x0, n_samples: int,
-                        t0: float = 0.0, **extra) -> IntegrationConfig:
+def _integration_config(config: ExperimentConfig, x0, n_samples: int, t0: float = 0.0,
+                        method: str = "RK23", noisy: bool = False) -> IntegrationConfig:
+    """n_samples of dt from t0 on; a noisy run also takes the config's noise keys."""
     dt = config["dt"]
-    return IntegrationConfig(
-        dt=dt,
-        t_span=(t0, t0 + (n_samples - 1) * dt),
-        initial_state=x0,
-        rtol=config["rtol"],
-        atol=config["atol"],
-        **extra,
-    )
+    noise = (dict(seed=config.seed, noise_rms=config["noise_rms"], substeps=config["substeps"])
+             if noisy else {})
+    return IntegrationConfig(dt=dt, t_span=(t0, t0 + (n_samples - 1) * dt), initial_state=x0,
+                             rtol=config["rtol"], atol=config["atol"], method=method, **noise)
 
 
 def _ground_truth(config: ExperimentConfig, system: SystemDef, n_samples: int,
@@ -365,6 +378,11 @@ def _ground_truth(config: ExperimentConfig, system: SystemDef, n_samples: int,
     x0 = on_attractor_state(system, config["transient_time"], rtol=config["rtol"],
                             atol=config["atol"], method=method)
     return integrate(system, _integration_config(config, x0, n_samples, method=method))
+
+
+def _reservoir_params(config: ExperimentConfig) -> baseline.ReservoirParams:
+    return baseline.ReservoirParams(**{key: config[key] for key in _RESERVOIR_KEYS},
+                                    seed=config.seed)
 
 
 def _ranked_readout(model: NgrcModel, components: tuple[str, ...]) -> list[dict]:
@@ -379,7 +397,7 @@ def _ranked_readout(model: NgrcModel, components: tuple[str, ...]) -> list[dict]
 
 
 def _horizon_steps(config: ExperimentConfig, system: SystemDef, key: str) -> int:
-    return max(1, int(round(config[key] * system.lyapunov_time / config["dt"])))
+    return max(1, _sample_count(config[key] * system.lyapunov_time, config["dt"]))
 
 
 def _run_forecast(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
@@ -387,7 +405,7 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, out: Path) -> dic
     train_points = config["train_points"]
     n_test = _horizon_steps(config, system, "test_horizon")
     n_nrmse = min(_horizon_steps(config, system, "nrmse_horizon"), n_test)
-    n_return = int(round(config["return_map_window"] / config["dt"]))
+    n_return = _sample_count(config["return_map_window"], config["dt"])
     n_forecast = max(n_test, n_return)
     uss_segments = config["uss_segments"]
 
@@ -582,12 +600,7 @@ def _run_noise(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     scaled_rmses, raw_rmses, noisy_stds = [], [], []
     with _stage("noisy training and forecast"):
         noisy_runs = integrate_noisy(
-            system,
-            _integration_config(config, x0, train_points, seed=config.seed,
-                                noise_rms=config["noise_rms"],
-                                substeps=config["substeps"]),
-            config["repeats"],
-        )
+            system, _integration_config(config, x0, train_points, noisy=True), config["repeats"])
         for rep, noisy in enumerate(noisy_runs):
             noisy_stds.append(noisy.values.std(axis=0))
             rep_model = train_forecaster(noisy, spec, config["alpha"])
@@ -645,18 +658,10 @@ def _run_baseline(config: ExperimentConfig, system: SystemDef, out: Path) -> dic
     scaling = ScalingVector.from_series(series)
 
     with _stage("reservoir run"):
-        params = baseline.ReservoirParams(
-            n_nodes=config["n_nodes"], gamma=config["gamma"],
-            spectral_radius=config["spectral_radius"], sigma_r=config["sigma_r"],
-            input_scale=config["input_scale"], bias=config["bias"],
-            activation=config["activation"], seed=config.seed,
-        )
-        reservoir = baseline.build_reservoir(params, system.dim)
+        reservoir = baseline.build_reservoir(_reservoir_params(config), system.dim)
         states = baseline.reservoir_run(reservoir, series)
 
     with _stage("train readout"):
-        from .regression import TrainingBlock, ridge_fit
-
         feats = baseline.quadratic_readout_features(states)
         cols = np.arange(warmup_points, warmup_points + train_points)
         block = TrainingBlock(feats[:, cols], series.values[cols + 1].T)

@@ -28,22 +28,17 @@ bit.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from ._checks import integer, integers, number, reject
 from .timeseries import TimeSeries
 
 
 class WarmupError(ValueError):
     """Raised when an index precedes the first fully populated delay window."""
-
-
-def _is_whole(value) -> bool:
-    """Whether ``value`` is a whole number; NaN and the infinities are not."""
-    return -math.inf < value < math.inf and int(value) == value
 
 
 @dataclass(frozen=True)
@@ -69,21 +64,14 @@ class FeatureSpec:
 
     def __post_init__(self):
         # a count read from JSON must not be truncated to an integer
+        degrees = self.degrees
+        reject(integer("d", self.d, 1), integer("k", self.k, 1), integer("s", self.s, 1),
+               integers("degrees", degrees, 2)
+               or (len(set(degrees)) < len(degrees) and f"duplicate degrees in {degrees}"),
+               number("constant_value", self.constant_value))
         for name in ("d", "k", "s"):
-            value = getattr(self, name)
-            if not _is_whole(value):
-                raise ValueError(f"{name} must be an integer, got {value}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
-        if not all(_is_whole(p) for p in self.degrees):
-            raise ValueError(f"degrees must be integers, got {self.degrees}")
-        degrees = tuple(sorted(int(p) for p in self.degrees))
-        if any(p < 2 for p in degrees):
-            raise ValueError(f"nonlinear degrees must all be >= 2, got {degrees}")
-        if len(set(degrees)) != len(degrees):
-            raise ValueError(f"duplicate degrees in {degrees}")
-        object.__setattr__(self, "degrees", degrees)
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "degrees", tuple(sorted(map(int, degrees))))
 
     @property
     def n_linear(self) -> int:
@@ -118,10 +106,7 @@ def monomial_exponent_table(n_vars: int, p: int) -> list[tuple[int, ...]]:
     upper-triangular entries of the outer product row-major. The product of
     the indexed linear-block entries of tuple t is monomial t.
     """
-    if n_vars < 1:
-        raise ValueError(f"n_vars must be >= 1, got {n_vars}")
-    if p < 2:
-        raise ValueError(f"degree must be >= 2, got {p}")
+    reject(integer("n_vars", n_vars, 1), integer("degree", p, 2))
     return list(itertools.combinations_with_replacement(range(n_vars), p))
 
 

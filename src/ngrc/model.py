@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .features import (
     feature_writer,
     total_features,  # noqa: F401  (benchmarks trace features through ngrc.model)
 )
+from ._checks import integer, reject
 from .regression import ReadoutMatrix, TrainingBlock, ridge_fit
 from .timeseries import TimeSeries
 
@@ -51,20 +52,14 @@ class NgrcModel:
 
     def __post_init__(self):
         object.__setattr__(self, "input_indices", tuple(int(i) for i in self.input_indices))
-        if len(self.input_indices) != self.spec.d:
-            raise ValueError(
-                f"{len(self.input_indices)} input indices for spec with d = {self.spec.d}"
-            )
-        if self.mode is Mode.FORECAST_DELTA and self.output_dim != self.spec.d:
-            raise ValueError(
-                "closed-loop forecasting requires output_dim == d "
-                f"(got {self.output_dim} != {self.spec.d})"
-            )
-        expected = feature_length(self.spec)
-        if self.readout.feature_dim != expected:
-            raise ValueError(
-                f"readout expects {self.readout.feature_dim} features, spec defines {expected}"
-            )
+        d, expected = self.spec.d, feature_length(self.spec)
+        reject(len(self.input_indices) != d
+               and f"{len(self.input_indices)} input indices for spec with d = {d}",
+               self.mode is Mode.FORECAST_DELTA and self.output_dim != d
+               and "closed-loop forecasting requires output_dim == d "
+               f"(got {self.output_dim} != {d})",
+               self.readout.feature_dim != expected
+               and f"readout expects {self.readout.feature_dim} features, spec defines {expected}")
 
     @property
     def output_dim(self) -> int:
@@ -91,10 +86,6 @@ def train_forecaster(series: TimeSeries, spec: FeatureSpec, alpha: float) -> Ngr
     X_{i+1} - X_i. Training NRMSE (per-component std scaling over the
     training series) is recorded in the model metadata.
     """
-    if series.n_components != spec.d:
-        raise ValueError(
-            f"series has {series.n_components} components but spec.d = {spec.d}"
-        )
     idx = _training_indices(spec, series.n_samples, need_target=True)
     feats = feature_block(series, spec, idx)
     targets = (series.values[idx + 1] - series.values[idx]).T
@@ -129,19 +120,16 @@ def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
     adds ``weights @ features`` to the newest sample, so the rollout equals,
     bit for bit, one ``total_features`` call per step.
     """
-    if model.mode is not Mode.FORECAST_DELTA:
-        raise ValueError(f"forecast requires a {Mode.FORECAST_DELTA.value} model, got {model.mode.value}")
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     spec = model.spec
+    reject(model.mode is not Mode.FORECAST_DELTA
+           and f"forecast requires a {Mode.FORECAST_DELTA.value} model, got {model.mode.value}",
+           integer("n_steps", n_steps, 1),
+           warmup.n_components != spec.d
+           and f"warm-up has {warmup.n_components} components but spec.d = {spec.d}")
     depth = spec.warmup_index + 1
     if warmup.n_samples < depth:
         raise WarmupError(
             f"warm-up needs at least (k-1)*s + 1 = {depth} samples, got {warmup.n_samples}"
-        )
-    if warmup.n_components != spec.d:
-        raise ValueError(
-            f"warm-up has {warmup.n_components} components but spec.d = {spec.d}"
         )
     # Warm-up and predictions share one buffer, oldest first; the taps of
     # step i are rows i + depth - 1 - js of it, newest first.
@@ -169,14 +157,10 @@ def train_inferrer(series: TimeSeries, observed, target: int, spec: FeatureSpec,
     """
     observed = tuple(int(i) for i in observed)
     target = int(target)
-    if target in observed:
-        raise ValueError(f"target component {target} must not be among the observed {observed}")
-    if len(observed) != spec.d:
-        raise ValueError(f"{len(observed)} observed components for spec with d = {spec.d}")
-    if not all(0 <= i < series.n_components for i in (*observed, target)):
-        raise ValueError(
-            f"component index out of range for series with {series.n_components} components"
-        )
+    reject(target in observed
+           and f"target component {target} must not be among the observed {observed}",
+           not all(0 <= i < series.n_components for i in (*observed, target))
+           and f"component index out of range for series with {series.n_components} components")
     obs_series = series.select(observed)
     idx = _training_indices(spec, series.n_samples, need_target=False)
     feats = feature_block(obs_series, spec, idx)
@@ -204,13 +188,11 @@ def infer(model: NgrcModel, series: TimeSeries) -> TimeSeries:
     (the model selects its observed columns by index). Open loop: nothing
     is fed back.
     """
-    if model.mode is not Mode.INFERENCE_DIRECT:
-        raise ValueError(f"infer requires a {Mode.INFERENCE_DIRECT.value} model, got {model.mode.value}")
-    if not all(0 <= i < series.n_components for i in model.input_indices):
-        raise ValueError(
-            f"model reads components {model.input_indices} but series has "
-            f"{series.n_components}"
-        )
+    reject(model.mode is not Mode.INFERENCE_DIRECT
+           and f"infer requires a {Mode.INFERENCE_DIRECT.value} model, got {model.mode.value}",
+           not all(0 <= i < series.n_components for i in model.input_indices)
+           and f"model reads components {model.input_indices} but series has "
+           f"{series.n_components}")
     obs_series = series.select(model.input_indices)
     idx = _training_indices(model.spec, series.n_samples, need_target=False)
     feats = feature_block(obs_series, model.spec, idx)
@@ -241,14 +223,7 @@ def from_document(doc: dict) -> NgrcModel:
     version = doc.get("format_version")
     if version != SERIAL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    spec = FeatureSpec(
-        d=doc["d"],
-        k=doc["k"],
-        s=doc["s"],
-        degrees=tuple(doc["degrees"]),
-        include_constant=doc["include_constant"],
-        constant_value=doc["constant_value"],
-    )
+    spec = FeatureSpec(**{field.name: doc[field.name] for field in fields(FeatureSpec)})
     readout = ReadoutMatrix(weights=doc["weights"], alpha=doc["alpha"])
     if doc["output_dim"] != readout.output_dim:
         raise ValueError(f"output_dim {doc['output_dim']!r} does not match the "

@@ -2,19 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import entries, number, reject
+
 
 class SingularSystemError(RuntimeError):
     """Raised when the normal-equation matrix is not numerically positive definite."""
-
-
-def _check_alpha(alpha: float) -> None:
-    if not (alpha >= 0 and math.isfinite(alpha)):
-        raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
 
 
 @dataclass(frozen=True)
@@ -33,7 +29,7 @@ class ReadoutMatrix:
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=float, order="C", ndmin=2)
-        _check_alpha(self.alpha)
+        reject(entries("weights", weights), number("alpha", self.alpha, 0.0))
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 
@@ -56,12 +52,9 @@ class TrainingBlock:
     def __post_init__(self):
         features = np.atleast_2d(np.asarray(self.features, dtype=float))
         targets = np.atleast_2d(np.asarray(self.targets, dtype=float))
-        if features.shape[1] != targets.shape[1]:
-            raise ValueError(
-                f"features have {features.shape[1]} columns but targets have {targets.shape[1]}"
-            )
-        if features.shape[1] < 1:
-            raise ValueError("need at least one training sample")
+        reject(features.shape[1] != targets.shape[1]
+               and f"features have {features.shape[1]} columns but targets have {targets.shape[1]}",
+               features.shape[1] < 1 and "need at least one training sample")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
 
@@ -85,7 +78,7 @@ def ridge_fit(block: TrainingBlock, alpha: float) -> ReadoutMatrix:
     numpy has no triangular solve, so G^-1 is applied as L^-T (L^-1 b)
     through the explicit inverse of L; G itself is never inverted.
     """
-    _check_alpha(alpha)
+    reject(number("alpha", alpha, 0.0))
     O, Y = block.features, block.targets
     gram, moments = O @ O.T, O @ Y.T
     if not (np.isfinite(gram).all() and np.isfinite(moments).all()):

@@ -40,6 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import _dop853
+from ._checks import integer, number, one_of, reject
 from .timeseries import TimeSeries
 
 
@@ -88,26 +89,22 @@ class IntegrationConfig:
     method: str = "RK23"
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not (self.rtol > 0 and self.atol > 0):
-            raise ValueError("integration tolerances must be positive")
-        if not all(math.isfinite(t) for t in self.t_span):
-            raise ValueError(f"t_span must be finite, got {self.t_span}")
-        steps = (self.t_span[1] - self.t_span[0]) / self.dt
+        state = np.asarray(self.initial_state, dtype=float)
+        t0, t1 = self.t_span
+        reject(number("dt", self.dt, 0.0, open_low=True),
+               number("t_span", t0) or number("t_span", t1),
+               number("integration tolerances: rtol", self.rtol, 0.0, open_low=True),
+               number("integration tolerances: atol", self.atol, 0.0, open_low=True),
+               number("noise_rms", self.noise_rms, 0.0),
+               integer("substeps", self.substeps, 1),
+               one_of("method", self.method, tuple(_PAIRS)),
+               (state.ndim != 1 or not np.isfinite(state).all())
+               and f"initial_state must be a finite 1-D vector, got {state}")
+        steps = (t1 - t0) / self.dt
         if not math.isfinite(steps):
             raise ValueError(f"dt = {self.dt} divides t_span {self.t_span} into too many steps")
         if not round(steps) >= 1:
             raise ValueError(f"time span {self.t_span} holds no step of dt = {self.dt}")
-        if not 0 <= self.noise_rms < math.inf:
-            raise ValueError(f"noise_rms must be nonnegative and finite, got {self.noise_rms}")
-        if not (float(self.substeps).is_integer() and self.substeps >= 1):
-            raise ValueError(f"substeps must be an integer >= 1, got {self.substeps}")
-        if self.method not in _PAIRS:
-            raise ValueError(f"method must be one of {tuple(_PAIRS)}, got {self.method!r}")
-        state = np.asarray(self.initial_state, dtype=float)
-        if state.ndim != 1 or not np.all(np.isfinite(state)):
-            raise ValueError(f"initial_state must be a finite 1-D vector, got {state}")
         object.__setattr__(self, "initial_state", state)
         object.__setattr__(self, "substeps", int(self.substeps))
 
@@ -500,10 +497,8 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
     Raises IntegrationError, naming the first path and sample time, as soon
     as a sample of any path is not finite.
     """
-    if config.seed is None:
-        raise ValueError("integrate_noisy requires a seed for reproducibility")
-    if paths < 1:
-        raise ValueError(f"paths must be >= 1, got {paths}")
+    reject(config.seed is None and "integrate_noisy requires a seed for reproducibility",
+           integer("paths", paths, 1))
     grid = config.grid()
     h = config.dt / config.substeps
     sigma = config.noise_rms / np.sqrt(h)
@@ -533,17 +528,21 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
             for i in range(paths)]
 
 
-def on_attractor_state(system: SystemDef, transient: float, rtol: float = 1e-8,
-                       atol: float = 1e-10, method: str = "RK23") -> np.ndarray:
-    """The state at time ``transient`` of a run from ``system.start``.
+def transient_config(system: SystemDef, transient_time: float, rtol: float, atol: float,
+                     method: str) -> IntegrationConfig:
+    """The run of ``on_attractor_state``, from ``system.start`` to ``transient_time``,
+    sampled only at its end: RK23's dense output is evaluated once and DOP853
+    steps freely until its last step."""
+    reject(number("transient_time", transient_time, 0.0, open_low=True,
+                  rule="a positive finite time"))
+    return IntegrationConfig(dt=transient_time, t_span=(0.0, transient_time),
+                             initial_state=np.array(system.start),
+                             rtol=rtol, atol=atol, method=method)
 
-    The start point is fixed, so the result is deterministic. The run is
-    sampled only at its end (a grid of [0, transient]), so RK23's dense
-    output is evaluated once and DOP853 steps freely until its last step.
-    """
-    if not 0 < transient < math.inf:
-        raise ValueError(f"transient must be a positive finite time, got {transient!r}")
-    config = IntegrationConfig(dt=transient, t_span=(0.0, transient),
-                               initial_state=np.array(system.start),
-                               rtol=rtol, atol=atol, method=method)
+
+def on_attractor_state(system: SystemDef, transient_time: float, rtol: float = 1e-8,
+                       atol: float = 1e-10, method: str = "RK23") -> np.ndarray:
+    """The state at time ``transient_time`` of ``transient_config``'s run: the
+    start point is fixed, so the result is deterministic."""
+    config = transient_config(system, transient_time, rtol, atol, method)
     return integrate(system, config).values[-1].copy()

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from ._checks import number, reject
 
 
 @dataclass(frozen=True)
@@ -23,14 +24,11 @@ class TimeSeries:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=float)
-        if values.ndim != 2:
-            raise ValueError(f"values must be 2-D (samples x components), got shape {values.shape}")
-        if values.shape[0] < 1 or values.shape[1] < 1:
-            raise ValueError(f"series needs at least one sample and component, got {values.shape}")
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be finite, got {self.t0}")
+        reject(values.ndim != 2
+               and f"values must be 2-D (samples x components), got shape {values.shape}",
+               values.size == 0
+               and f"series needs at least one sample and component, got {values.shape}",
+               number("dt", self.dt, 0.0, open_low=True), number("t0", self.t0))
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import entries, reject
 from .features import total_features
 from .model import Mode, NgrcModel
 from .timeseries import TimeSeries
@@ -30,8 +31,7 @@ class ScalingVector:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float).ravel()
-        if values.size == 0 or not np.all((values > 0) & np.isfinite(values)):
-            raise ValueError(f"scaling entries must be positive and finite, got {values}")
+        reject(entries("scaling entries", values, positive=True))
         object.__setattr__(self, "values", values)
 
     @classmethod
@@ -73,14 +73,10 @@ class UssEntry:
 
 
 def _check_shapes(predicted: TimeSeries, truth: TimeSeries, scaling: ScalingVector):
-    if predicted.values.shape != truth.values.shape:
-        raise ValueError(
-            f"shape mismatch: predicted {predicted.values.shape} vs truth {truth.values.shape}"
-        )
-    if len(scaling) != truth.n_components:
-        raise ValueError(
-            f"scaling has {len(scaling)} entries for {truth.n_components} components"
-        )
+    reject(predicted.values.shape != truth.values.shape
+           and f"shape mismatch: predicted {predicted.values.shape} vs truth {truth.values.shape}",
+           len(scaling) != truth.n_components
+           and f"scaling has {len(scaling)} entries for {truth.n_components} components")
 
 
 def nrmse(predicted: TimeSeries, truth: TimeSeries, scaling: ScalingVector) -> float:

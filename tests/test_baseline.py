@@ -1,3 +1,4 @@
+import warnings
 from math import ceil
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from ngrc import (
     CostParams,
+    ReservoirError,
     ReservoirParams,
     TimeSeries,
     build_reservoir,
@@ -52,6 +54,24 @@ def test_reservoir_params_validation():
         for bad in (np.nan, np.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match=field):
                 ReservoirParams(n_nodes=10, **{field: bad})
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="bias must be finite"):
+            ReservoirParams(n_nodes=10, bias=bad)
+
+
+def test_reservoir_run_reports_the_first_overflowing_step():
+    # a linear reservoir of spectral radius 5 grows about fivefold per step
+    params = ReservoirParams(n_nodes=20, spectral_radius=5.0, sigma_r=0.5,
+                             activation="linear", seed=0)
+    reservoir = build_reservoir(params, input_dim=1)
+    series = TimeSeries(dt=1.0, values=np.ones((600, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow on the way is not a warning
+        with pytest.raises(ReservoirError, match="not finite at step") as exc:
+            reservoir_run(reservoir, series)
+    step = int(str(exc.value).rsplit(" ", 1)[1])
+    shorter = reservoir_run(reservoir, series.segment(0, step))
+    assert np.isfinite(shorter).all()
 
 
 @given(st.integers(0, 2**31 - 1))

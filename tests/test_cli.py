@@ -1,5 +1,8 @@
+import dataclasses
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -11,12 +14,18 @@ import pytest
 import ngrc.cli
 from ngrc import (
     CostParams,
+    FeatureSpec,
+    IntegrationConfig,
     IntegrationError,
+    ReadoutMatrix,
+    ReservoirParams,
+    TrainingBlock,
     double_scroll,
     estimate_cost,
     feature_names,
     load_model,
     on_attractor_state,
+    ridge_fit,
 )
 from ngrc.cli import (
     TASK_DEFAULTS,
@@ -26,6 +35,7 @@ from ngrc.cli import (
     resolve_config,
     validate_config,
 )
+from ngrc.systems import transient_config
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -133,6 +143,11 @@ def test_resolve_config_type_strictness(tmp_path):
         # a subnormal dt overflows every count of samples per time unit
         ({"task": "forecast-lorenz", "dt": 5e-324}, "dt: must be positive with a finite"),
         ({"task": "noise-lorenz", "dt": 5e-324}, "dt: must be positive with a finite"),
+        # ... and so does every horizon, which the runners turn into sample counts
+        ({"task": "forecast-lorenz", "test_horizon": 1e308}, "test_horizon"),
+        ({"task": "forecast-lorenz", "nrmse_horizon": 1e308}, "nrmse_horizon"),
+        ({"task": "sweep-trainsize", "nrmse_horizon": 1e308}, "nrmse_horizon"),
+        ({"task": "noise-lorenz", "rmse_horizon": 1e308}, "rmse_horizon"),
     ]
     for i, (doc, field) in enumerate(cases):
         with pytest.raises(ConfigError, match=field):
@@ -429,6 +444,83 @@ def test_main_reports_a_diverging_noisy_ensemble_as_numerical(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == ("numerical failure: stage 'noisy training and forecast': "
                    "noisy path 1 of lorenz63 is not finite at t = 0.35\n")
+
+
+def test_main_reports_an_overflowing_reservoir_as_numerical(tmp_path, capsys):
+    # a linear reservoir of spectral radius 5 grows about fivefold per sample
+    # and overflows within the 501 samples of the canonical run
+    config = write_config(tmp_path, {"task": "baseline-rc", "spectral_radius": 5.0})
+    assert main(["validate", config, "--quiet"]) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert re.fullmatch(r"numerical failure: stage 'reservoir run': reservoir state is "
+                        r"not finite at step \d+\n", capsys.readouterr().err)
+
+
+def integration_config(dt=0.025, **kw):
+    """A noisy run's IntegrationConfig over two samples, as validation builds it."""
+    return IntegrationConfig(dt=dt, t_span=(0.0, dt), initial_state=np.ones(3), seed=0, **kw)
+
+
+# Each library-owned key, the task whose defaults it is checked against and
+# the library object its runner builds from it, with valid stand-ins for the
+# data the runner has.
+_LIBRARY_KEYS = {
+    "k": ("forecast-lorenz", lambda v: FeatureSpec(d=3, k=v, degrees=(2,))),
+    "s": ("forecast-lorenz", lambda v: FeatureSpec(d=3, k=2, s=v, degrees=(2,))),
+    "degrees": ("forecast-lorenz", lambda v: FeatureSpec(d=3, k=2, degrees=tuple(v))),
+    "constant_value": ("forecast-lorenz",
+                       lambda v: FeatureSpec(d=3, k=2, degrees=(2,), constant_value=v)),
+    "alpha": ("forecast-lorenz", lambda v: ridge_fit(TrainingBlock(np.eye(2), np.eye(2)), v)),
+    "transient_time": ("forecast-doublescroll",
+                       lambda v: transient_config(double_scroll(), v, 1e-3, 1e-6, "RK23")),
+    **{key: ("noise-lorenz", lambda v, key=key: integration_config(**{key: v}))
+       for key in ("dt", "rtol", "atol", "noise_rms", "substeps")},
+    **{key: ("baseline-rc", lambda v, key=key: ReservoirParams(**{"n_nodes": 10, key: v}))
+       for key in ("n_nodes", "gamma", "spectral_radius", "sigma_r", "input_scale", "bias",
+                   "activation")},
+}
+_BAD_VALUES = [-1, 0, 1, 2, -0.0, 0.5, 1.5, 2.5, 1e-300, 5e-324, 1e300, "tanh", "relu",
+               [], [1], [2], [2, 2], [2, 3]]
+
+
+def test_validate_rejects_exactly_what_the_library_rejects(tmp_path):
+    cases = 0
+    for key, (task, build) in _LIBRARY_KEYS.items():
+        for value in _BAD_VALUES:
+            if not ngrc.cli._has_type(value, TASK_DEFAULTS[task][key]):
+                continue  # a JSON type error, which only the CLI can see
+            try:
+                build(value)
+            except ValueError:
+                runs = False
+            else:
+                # dt alone keeps a rule of the CLI's: its horizon arithmetic
+                # needs a finite number of samples per time unit
+                runs = not (key == "dt" and value > 0 and 1 / value == float("inf"))
+            config = write_config(tmp_path, {"task": task, key: value}, f"{cases}.json")
+            assert (main(["validate", config, "--quiet"]) == 0) == runs, (key, value)
+            cases += 1
+    assert cases > 100
+    # two bad fields of one object are both reported, each by name
+    with pytest.raises(ConfigError) as exc:
+        resolve_config({"task": "forecast-lorenz", "rtol": -1, "atol": -1})
+    assert len(exc.value.messages) == 2
+    assert "rtol" in exc.value.messages[0] and "atol" in exc.value.messages[1]
+
+
+def test_cli_rules_leave_library_parameters_to_the_library():
+    # A library parameter's value rules live in its constructor, which
+    # validate builds; a copy in cli._RULES would drift from it. dt keeps a
+    # CLI rule, for the CLI's own horizon and window arithmetic (see above),
+    # and seed is the CLI's base seed of every task, not one object's field.
+    library = {field.name for cls in (FeatureSpec, IntegrationConfig, ReservoirParams,
+                                      ReadoutMatrix)
+               for field in dataclasses.fields(cls)}
+    library |= set(inspect.signature(on_attractor_state).parameters)
+    assert set(ngrc.cli._RULES) & library == {"dt", "seed"}
 
 
 def test_transient_time_must_hold_one_transient_step(tmp_path):

@@ -284,6 +284,9 @@ def test_spec_validation_errors():
                 FeatureSpec(**{**dict(d=3, k=2, s=1, degrees=(2,)), name: value})
         with pytest.raises(ValueError, match="degrees must be integers"):
             FeatureSpec(d=3, k=2, s=1, degrees=(2, value))
+        # from_document feeds a hand-edited model.json straight in
+        with pytest.raises(ValueError, match="constant_value must be finite"):
+            FeatureSpec(d=3, k=2, s=1, degrees=(2,), constant_value=value)
     spec = FeatureSpec(d=3.0, k=2.0, s=1.0, degrees=(2,))
     assert (spec.d, spec.k, spec.s) == (3, 2, 1) and type(spec.k) is int
     doc = to_document(NgrcModel(spec=FeatureSpec(d=1, k=2, s=1, degrees=(2,)),

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -157,6 +158,17 @@ def test_from_document_rejects_unknown_format(lorenz_task):
     doc["format_version"] = 99
     with pytest.raises(ValueError, match="format version"):
         from_document(doc)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_load_model_rejects_nonfinite_weights(lorenz_task, tmp_path, bad):
+    # a model that would forecast NaN from its first step is not loaded
+    doc = to_document(lorenz_task.model)
+    doc["weights"][1][4] = bad
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="weights must be finite"):
+        load_model(path)
 
 
 def test_from_document_checks_output_dim_against_weights(lorenz_task):

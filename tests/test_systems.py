@@ -207,6 +207,9 @@ def test_integration_config_validation():
         (dict(t_span=(-math.inf, 1.0)), "t_span"),
         (dict(rtol=0.0), "tolerances"),
         (dict(atol=math.nan), "tolerances"),
+        # an infinite tolerance accepts every step; the message names which one
+        (dict(rtol=math.inf), "tolerances: rtol"),
+        (dict(atol=math.inf), "tolerances: atol"),
         (dict(noise_rms=math.nan), "noise_rms"),
         (dict(noise_rms=math.inf), "noise_rms"),
         (dict(substeps=2.5), "substeps"),
