@@ -25,8 +25,9 @@ def reject(*problems) -> None:
 
 
 def _whole(value) -> bool:
-    # NaN and the infinities are not whole, and int() of them would raise
-    return -inf < value < inf and int(value) == value
+    # NaN and the infinities are not whole, and int() of them would raise;
+    # True == 1, but a flag is not a count
+    return not isinstance(value, bool) and -inf < value < inf and int(value) == value
 
 
 def integer(name: str, value, least: int):

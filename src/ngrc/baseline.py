@@ -119,9 +119,17 @@ def reservoir_run(reservoir: Reservoir, series: TimeSeries) -> np.ndarray:
 
 
 def quadratic_readout_features(states: np.ndarray) -> np.ndarray:
-    """Stack the states and their elementwise squares: (2N x n_samples)."""
+    """Stack the states and their elementwise squares: (2N x n_samples).
+
+    Raises ReservoirError, naming the first column, when a square overflows.
+    """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    return np.vstack([states, states**2])
+    with np.errstate(over="ignore"):
+        squares = states**2
+    overflowed = np.flatnonzero(np.isinf(squares).any(axis=0))
+    if overflowed.size:
+        raise ReservoirError(f"squared reservoir state is not finite at column {overflowed[0]}")
+    return np.vstack([states, squares])
 
 
 @dataclass(frozen=True)

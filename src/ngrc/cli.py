@@ -236,7 +236,8 @@ _RULES = {
 
 def _library_errors(config: ExperimentConfig, system: SystemDef, d: int) -> list[str]:
     """The messages of the library objects that the task's runner builds, built as it
-    builds them but with the system's start point and two samples for its data."""
+    builds them but with the system's start point and two samples for its data.
+    ``resolve_config`` builds the ground truth's span after the cross-key rules."""
     builders = {
         "degrees": lambda: config.feature_spec(d),
         "alpha": lambda: ReadoutMatrix(np.zeros((1, 1)), config["alpha"]),
@@ -341,6 +342,14 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
                       f"7 and finitely many samples of dt={dt}, got {window!r}")
     if errors:
         raise ConfigError(errors)
+    # The ground truth as its runner builds it, once the counts it is made of
+    # are known to be finite: dt must also be short enough for its span.
+    n_truth = _truth_samples(config, system)
+    try:
+        _integration_config(config, system.start, n_truth)
+    except ValueError as exc:
+        raise ConfigError([f"dt: {n_truth} samples of dt={dt} must span a finite time "
+                           f"({exc})"]) from exc
     return config
 
 
@@ -372,12 +381,45 @@ def _integration_config(config: ExperimentConfig, x0, n_samples: int, t0: float 
                              rtol=config["rtol"], atol=config["atol"], method=method, **noise)
 
 
-def _ground_truth(config: ExperimentConfig, system: SystemDef, n_samples: int,
+def _ground_truth(config: ExperimentConfig, system: SystemDef,
                   method: str = "RK23") -> TimeSeries:
-    """n_samples of a trajectory starting on the attractor after the transient."""
+    """The task's ground truth: a trajectory from the attractor after the transient."""
     x0 = on_attractor_state(system, config["transient_time"], rtol=config["rtol"],
                             atol=config["atol"], method=method)
-    return integrate(system, _integration_config(config, x0, n_samples, method=method))
+    return integrate(system, _integration_config(config, x0, _truth_samples(config, system),
+                                                 method=method))
+
+
+def _truth_samples(config: ExperimentConfig, system: SystemDef) -> int:
+    """The samples of the task's ground truth, the longest span it integrates.
+
+    ``_ground_truth`` integrates this many, and ``resolve_config`` builds the
+    same IntegrationConfig, so a dt that this span overflows fails validation.
+    """
+    task, train_points = config.task, config.settings.get("train_points")
+    if task in ("forecast-lorenz", "forecast-doublescroll"):
+        n_test, _, n_forecast = _forecast_steps(config, system)
+        return max(train_points + n_forecast, config["uss_segments"] * train_points + n_test) + 1
+    if task == "sweep-trainsize":
+        return config["segments"] * _sweep_steps(config, system)[1] + 1
+    if task == "infer-lorenz":
+        return train_points + config["test_points"]
+    if task == "noise-lorenz":
+        return 10001  # the reference trajectory, which gives the scaling
+    return config["warmup_points"] + train_points + 1  # baseline-rc
+
+
+def _forecast_steps(config: ExperimentConfig, system: SystemDef) -> tuple[int, int, int]:
+    """Samples of the test window, of the return map and of segment 0's rollout."""
+    n_test = _horizon_steps(config, system, "test_horizon")
+    n_return = _sample_count(config["return_map_window"], config["dt"])
+    return n_test, n_return, max(n_test, n_return)
+
+
+def _sweep_steps(config: ExperimentConfig, system: SystemDef) -> tuple[int, int]:
+    """Samples of each forecast of the sweep, and from one window's start to the next."""
+    n_horizon = _horizon_steps(config, system, "nrmse_horizon")
+    return n_horizon, max(config["sizes"]) + n_horizon
 
 
 def _reservoir_params(config: ExperimentConfig) -> baseline.ReservoirParams:
@@ -403,15 +445,12 @@ def _horizon_steps(config: ExperimentConfig, system: SystemDef, key: str) -> int
 def _run_forecast(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     spec = config.feature_spec(system.dim)
     train_points = config["train_points"]
-    n_test = _horizon_steps(config, system, "test_horizon")
+    n_test, n_return, n_forecast = _forecast_steps(config, system)
     n_nrmse = min(_horizon_steps(config, system, "nrmse_horizon"), n_test)
-    n_return = _sample_count(config["return_map_window"], config["dt"])
-    n_forecast = max(n_test, n_return)
     uss_segments = config["uss_segments"]
 
     with _stage("integrate ground truth"):
-        n_mother = max(train_points + n_forecast, uss_segments * train_points + n_test) + 1
-        mother = _ground_truth(config, system, n_mother)
+        mother = _ground_truth(config, system)
     scaling = ScalingVector.from_series(mother)
 
     true_uss = system.steady_states()
@@ -505,7 +544,7 @@ def _run_infer(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     train_points, test_points = config["train_points"], config["test_points"]
 
     with _stage("integrate ground truth"):
-        mother = _ground_truth(config, system, train_points + test_points)
+        mother = _ground_truth(config, system)
     scaling = ScalingVector.from_series(mother)
     target_scaling = ScalingVector(scaling.values[[target]])
 
@@ -547,11 +586,10 @@ def _run_sweep(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     spec = config.feature_spec(system.dim)
     sizes = sorted(config["sizes"])
     segments = config["segments"]
-    n_horizon = _horizon_steps(config, system, "nrmse_horizon")
-    stride = max(sizes) + n_horizon
+    n_horizon, stride = _sweep_steps(config, system)
 
     with _stage("integrate ground truth"):
-        mother = _ground_truth(config, system, segments * stride + 1)
+        mother = _ground_truth(config, system)
     scaling = ScalingVector.from_series(mother)
 
     rows = []
@@ -592,7 +630,7 @@ def _run_noise(config: ExperimentConfig, system: SystemDef, out: Path) -> dict:
     n_horizon = _horizon_steps(config, system, "rmse_horizon")
 
     with _stage("reference trajectory"):
-        reference = _ground_truth(config, system, 10001, method=_TIGHT_METHOD)
+        reference = _ground_truth(config, system, method=_TIGHT_METHOD)
     scaling = ScalingVector.from_series(reference)
     # The reference's first sample is the on-attractor state itself.
     x0 = reference.values[0]
@@ -653,8 +691,7 @@ def _run_baseline(config: ExperimentConfig, system: SystemDef, out: Path) -> dic
     train_points, warmup_points = config["train_points"], config["warmup_points"]
 
     with _stage("integrate ground truth"):
-        series = _ground_truth(config, system, warmup_points + train_points + 1,
-                               method=_TIGHT_METHOD)
+        series = _ground_truth(config, system, method=_TIGHT_METHOD)
     scaling = ScalingVector.from_series(series)
 
     with _stage("reservoir run"):

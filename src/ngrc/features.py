@@ -68,7 +68,10 @@ class FeatureSpec:
         reject(integer("d", self.d, 1), integer("k", self.k, 1), integer("s", self.s, 1),
                integers("degrees", degrees, 2)
                or (len(set(degrees)) < len(degrees) and f"duplicate degrees in {degrees}"),
-               number("constant_value", self.constant_value))
+               number("constant_value", self.constant_value),
+               # True == 1, so a test of membership in (True, False) would pass 1
+               not isinstance(self.include_constant, bool)
+               and f"include_constant must be true or false, got {self.include_constant!r}")
         for name in ("d", "k", "s"):
             object.__setattr__(self, name, int(getattr(self, name)))
         object.__setattr__(self, "degrees", tuple(sorted(map(int, degrees))))
@@ -115,17 +118,18 @@ def total_features(lin: np.ndarray, spec: FeatureSpec) -> np.ndarray:
 
     ``lin`` is one linear block [X_i; X_{i-s}; ...; X_{i-(k-1)s}] of length
     d*k, or a (d*k, n) array holding n such blocks as columns; the result
-    has the same trailing shape.
+    has the same trailing shape. A complex block gives complex features, for
+    a complex-step derivative; any other input is taken as float.
     """
-    lin = np.asarray(lin, dtype=float)
+    lin = np.asarray(lin, dtype=complex if np.iscomplexobj(lin) else float)
     if lin.ndim == 0 or lin.shape[0] != spec.n_linear:
         raise ValueError(
             f"linear block has shape {lin.shape}, spec needs {spec.n_linear} = d*k rows"
         )
-    ext = np.empty((spec.n_linear + 2, *lin.shape[1:]))
+    ext = np.empty((spec.n_linear + 2, *lin.shape[1:]), dtype=lin.dtype)
     ext[0], ext[1], ext[2:] = 1.0, spec.constant_value, lin
     columns = _layout(spec).T
-    return _multiply_columns(ext, columns, np.empty((columns.shape[1], *lin.shape[1:])))
+    return _multiply_columns(ext, columns, np.empty((columns.shape[1], *lin.shape[1:]), lin.dtype))
 
 
 def _multiply_columns(ext: np.ndarray, columns, out: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .features import (
     feature_writer,
     total_features,  # noqa: F401  (benchmarks trace features through ngrc.model)
 )
-from ._checks import integer, reject
+from ._checks import integer, integers, reject
 from .regression import ReadoutMatrix, TrainingBlock, ridge_fit
 from .timeseries import TimeSeries
 
@@ -51,15 +51,16 @@ class NgrcModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "input_indices", tuple(int(i) for i in self.input_indices))
-        d, expected = self.spec.d, feature_length(self.spec)
-        reject(len(self.input_indices) != d
-               and f"{len(self.input_indices)} input indices for spec with d = {d}",
+        indices, d, expected = tuple(self.input_indices), self.spec.d, feature_length(self.spec)
+        reject(integers("input_indices", indices, 0)
+               or (len(set(indices)) < len(indices) and f"duplicate input_indices in {indices}"),
+               len(indices) != d and f"{len(indices)} input indices for spec with d = {d}",
                self.mode is Mode.FORECAST_DELTA and self.output_dim != d
                and "closed-loop forecasting requires output_dim == d "
                f"(got {self.output_dim} != {d})",
                self.readout.feature_dim != expected
                and f"readout expects {self.readout.feature_dim} features, spec defines {expected}")
+        object.__setattr__(self, "input_indices", tuple(map(int, indices)))
 
     @property
     def output_dim(self) -> int:

@@ -77,22 +77,29 @@ def ridge_fit(block: TrainingBlock, alpha: float) -> ReadoutMatrix:
     Methods for Least Squares Problems*, SIAM 1996).
     numpy has no triangular solve, so G^-1 is applied as L^-T (L^-1 b)
     through the explicit inverse of L; G itself is never inverted.
+    Non-finite data raise ValueError; normal equations of finite data that
+    overflow, or that are not positive definite, raise SingularSystemError.
     """
     reject(number("alpha", alpha, 0.0))
     O, Y = block.features, block.targets
-    gram, moments = O @ O.T, O @ Y.T
-    if not (np.isfinite(gram).all() and np.isfinite(moments).all()):
-        raise ValueError("training features and targets must be finite")
-    gram.flat[:: len(gram) + 1] += alpha  # the diagonal
-    try:
-        factor_inv = np.linalg.inv(np.linalg.cholesky(gram))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(
-            f"normal-equation matrix is not positive definite at alpha={alpha}; "
-            "increase alpha or supply richer training data"
-        ) from exc
-    weights_t = factor_inv.T @ (factor_inv @ moments)
-    with np.errstate(all="ignore"):  # non-finite weights are reported below
+    # An overflowing product is reported as an error (a numerical failure
+    # when the data were finite), so the arithmetic must not warn.
+    with np.errstate(all="ignore"):
+        gram, moments = O @ O.T, O @ Y.T
+        if not (np.isfinite(gram).all() and np.isfinite(moments).all()):
+            if np.isfinite(O).all() and np.isfinite(Y).all():
+                raise SingularSystemError("normal equations overflow: the Gram matrix of "
+                                          "these finite training features is not finite")
+            raise ValueError("training features and targets must be finite")
+        gram.flat[:: len(gram) + 1] += alpha  # the diagonal
+        try:
+            factor_inv = np.linalg.inv(np.linalg.cholesky(gram))
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(
+                f"normal-equation matrix is not positive definite at alpha={alpha}; "
+                "increase alpha or supply richer training data"
+            ) from exc
+        weights_t = factor_inv.T @ (factor_inv @ moments)
         for _ in range(2):
             rhs = O @ (Y - weights_t.T @ O).T - alpha * weights_t
             weights_t = weights_t + factor_inv.T @ (factor_inv @ rhs)

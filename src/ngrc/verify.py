@@ -114,23 +114,36 @@ def valid_time(predicted: TimeSeries, truth: TimeSeries, scaling: ScalingVector,
     return float(exceeded[0] * truth.dt / lyapunov_time)
 
 
-def learned_map_residual(model: NgrcModel, state: np.ndarray) -> np.ndarray:
-    """The one-step displacement the model predicts from a constant history."""
+def learned_map_residual(model: NgrcModel, states: np.ndarray) -> np.ndarray:
+    """The one-step displacement the model predicts from a constant history.
+
+    ``states`` is one state or a (d, n) array of states as columns; the
+    result has the same shape. Each column is its own matrix-vector product,
+    as for a single state, so its bits do not depend on the other columns.
+    """
     if model.mode is not Mode.FORECAST_DELTA:
         raise ValueError("fixed points are defined for forecast models only")
-    lin = np.tile(np.asarray(state, dtype=float), model.spec.k)
-    return model.readout.weights @ total_features(lin, model.spec)
+    states = np.asarray(states)
+    columns = states.reshape(states.shape[0], -1)
+    features = total_features(np.concatenate([columns] * model.spec.k), model.spec)
+    residuals = model.readout.weights @ np.ascontiguousarray(features.T)[..., None]
+    return residuals[..., 0].T.reshape(states.shape)
 
 
 def estimate_model_uss(model: NgrcModel, guesses) -> list[np.ndarray | None]:
     """Fixed points of the learned map near each guess.
 
-    Damped Newton iteration on the state repeated across all delay taps,
-    with a central-difference Jacobian; an entry is None when the iteration
-    does not converge within 200 steps. The iteration stops once a step is
-    shorter than 1e-10, and a stalled step alone does not count as
-    convergence: the one-step displacement there must also be below 1e-8.
+    Damped Newton iteration on the state repeated across all delay taps. The
+    map is a polynomial in that state, so one complex step of h = 1e-20 in
+    every component gives its Jacobian exact to rounding (Squire & Trapp,
+    *SIAM Review* 40, 1998): no difference is taken, so no digits cancel.
+    An entry is None when the Jacobian is singular or the iteration does not
+    converge within 200 steps. The iteration stops once a step is shorter
+    than 1e-10, and a stalled step alone does not count as convergence: the
+    one-step displacement there must also be below 1e-8.
     """
+    h = 1e-20
+    probes = 1j * h * np.eye(model.spec.d)
     results: list[np.ndarray | None] = []
     # Divergent iterates overflow harmlessly; non-convergence is reported
     # as None instead of a warning storm.
@@ -140,19 +153,18 @@ def estimate_model_uss(model: NgrcModel, guesses) -> list[np.ndarray | None]:
             converged = False
             for _ in range(200):
                 g = learned_map_residual(model, x)
-                jac = _residual_jacobian(model, x)
+                jac = learned_map_residual(model, x[:, None] + probes).imag / h
                 try:
                     step = np.linalg.solve(jac, g)
                 except np.linalg.LinAlgError:
-                    step, *_ = np.linalg.lstsq(jac, g, rcond=None)
+                    break
                 if not np.all(np.isfinite(step)):
                     break
                 # Backtrack until the residual actually shrinks.
                 lam = 1.0
                 g_norm = np.linalg.norm(g)
                 while lam > 1e-4:
-                    candidate = x - lam * step
-                    if np.linalg.norm(learned_map_residual(model, candidate)) <= g_norm or g_norm == 0:
+                    if np.linalg.norm(learned_map_residual(model, x - lam * step)) <= g_norm:
                         break
                     lam *= 0.5
                 x_new = x - lam * step
@@ -163,21 +175,6 @@ def estimate_model_uss(model: NgrcModel, guesses) -> list[np.ndarray | None]:
                 x = x_new
             results.append(x if converged else None)
     return results
-
-
-def _residual_jacobian(model: NgrcModel, state: np.ndarray) -> np.ndarray:
-    """Central differences with step 1e-6 * (1 + |state[c]|) in component c."""
-    d = model.spec.d
-    jac = np.empty((model.output_dim, d))
-    for c in range(d):
-        step = 1e-6 * (1.0 + abs(state[c]))
-        plus, minus = state.copy(), state.copy()
-        plus[c] += step
-        minus[c] -= step
-        jac[:, c] = (learned_map_residual(model, plus) - learned_map_residual(model, minus)) / (
-            2.0 * step
-        )
-    return jac
 
 
 def uss_report(model: NgrcModel, true_states, scaling: ScalingVector) -> tuple[UssEntry, ...]:

@@ -50,6 +50,8 @@ def test_reservoir_params_validation():
         ReservoirParams(n_nodes=10, activation="relu")
     with pytest.raises(ValueError, match="n_nodes"):
         ReservoirParams(n_nodes=2.5)
+    with pytest.raises(ValueError, match="n_nodes must be an integer"):
+        ReservoirParams(n_nodes=True)
     for field in ("spectral_radius", "input_scale"):
         for bad in (np.nan, np.inf, 0.0, -1.0):
             with pytest.raises(ValueError, match=field):
@@ -115,6 +117,15 @@ def test_quadratic_readout_features_layout():
     feats = quadratic_readout_features(states)
     assert feats.shape == (4, 2)
     assert np.array_equal(feats, np.vstack([states, states**2]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_quadratic_readout_features_report_the_first_overflowing_column():
+    # finite states whose squares overflow are a numerical failure, not a warning
+    states = np.array([[1.0, 2.0, 1e200, 1e300], [1.0, -1e160, 3.0, 1.0]])
+    with pytest.raises(ReservoirError, match="not finite at column 1$"):
+        quadratic_readout_features(states)
+    assert np.isfinite(quadratic_readout_features(states[:, :1])).all()
 
 
 def test_training_cost_hand_cases():

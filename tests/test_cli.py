@@ -148,6 +148,11 @@ def test_resolve_config_type_strictness(tmp_path):
         ({"task": "forecast-lorenz", "nrmse_horizon": 1e308}, "nrmse_horizon"),
         ({"task": "sweep-trainsize", "nrmse_horizon": 1e308}, "nrmse_horizon"),
         ({"task": "noise-lorenz", "rmse_horizon": 1e308}, "rmse_horizon"),
+        # a dt too long for the span of the samples that the run integrates
+        *(({"task": task, "dt": 1e306}, "dt: .* must span a finite time")
+          for task in ("forecast-doublescroll", "infer-lorenz", "sweep-trainsize",
+                       "noise-lorenz", "baseline-rc")),
+        ({"task": "sweep-trainsize", "dt": 1e304}, "dt: 20021 samples"),
     ]
     for i, (doc, field) in enumerate(cases):
         with pytest.raises(ConfigError, match=field):
@@ -227,6 +232,7 @@ def test_main_run_complexity_writes_artifacts(tmp_path, capsys):
                 assert speedup == estimate_cost(ng, rc)
 
 
+@pytest.mark.filterwarnings("error")  # a new overflow on the way fails here
 @pytest.mark.parametrize("task", ["forecast-lorenz", "forecast-doublescroll", "baseline-rc",
                                   "sweep-trainsize", "noise-lorenz", "infer-lorenz"])
 def test_canonical_runs_reproduce_tracked_outputs_byte_for_byte(task, tmp_path):
@@ -457,6 +463,21 @@ def test_main_reports_an_overflowing_reservoir_as_numerical(tmp_path, capsys):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert re.fullmatch(r"numerical failure: stage 'reservoir run': reservoir state is "
                         r"not finite at step \d+\n", capsys.readouterr().err)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("train_points, cause", [
+    (150, "normal equations overflow"),  # finite squares, but their Gram matrix overflows
+    (350, "squared reservoir state is not finite at column"),
+])
+def test_main_reports_an_overflowing_readout_as_numerical(tmp_path, capsys, train_points,
+                                                          cause):
+    config = write_config(tmp_path, {"task": "baseline-rc", "spectral_radius": 5.0,
+                                     "warmup_points": 30, "train_points": train_points})
+    assert main(["validate", config, "--quiet"]) == 0
+    assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"numerical failure: stage 'train readout': {cause}")
 
 
 def integration_config(dt=0.025, **kw):

@@ -202,6 +202,19 @@ def test_batched_columns_equal_single_vectors(spec, n, seed):
         total_features(np.ones(spec.n_linear + 1), spec)
 
 
+def test_complex_features_have_the_real_features_as_real_part(lorenz_task, ds_task):
+    rng = np.random.default_rng(3)
+    for spec in (lorenz_task.spec, ds_task.spec):
+        lin = 10.0 * rng.normal(size=(spec.n_linear, 5))
+        for block in (lin, lin[:, 0]):
+            step = block + 1e-20j * rng.normal(size=block.shape)
+            features = total_features(step, spec)
+            assert features.dtype == complex and features.shape[1:] == block.shape[1:]
+            assert np.array_equal(features.real, total_features(block, spec))
+    # anything else is taken as float
+    assert total_features([1, 2], FeatureSpec(d=1, k=2, degrees=(2,))).dtype == float
+
+
 def test_feature_block_rejects_warmup_indices(accurate_lorenz):
     spec = FeatureSpec(d=3, k=2, s=3, degrees=(2,))
     with pytest.raises(WarmupError):
@@ -294,3 +307,12 @@ def test_spec_validation_errors():
                                 mode=Mode.FORECAST_DELTA, input_indices=(0,)))
     with pytest.raises(ValueError, match="k must be an integer"):
         from_document({**doc, "k": 2.5})
+    # True == 1, but a flag is not a count, and 1 or "no" is not a flag
+    for name in ("d", "k", "s"):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            FeatureSpec(**{**dict(d=3, k=2, s=1, degrees=(2,)), name: True})
+    with pytest.raises(ValueError, match="degrees must be integers"):
+        FeatureSpec(d=3, k=2, s=1, degrees=(2, True))
+    for flag in (2, 1, 0, "no", None):
+        with pytest.raises(ValueError, match="include_constant must be true or false"):
+            FeatureSpec(d=3, k=2, s=1, degrees=(2,), include_constant=flag)

@@ -171,6 +171,20 @@ def test_load_model_rejects_nonfinite_weights(lorenz_task, tmp_path, bad):
         load_model(path)
 
 
+def test_load_model_rejects_indices_it_would_truncate_or_duplicate(lorenz_task, tmp_path):
+    doc = to_document(lorenz_task.model)
+    path = tmp_path / "model.json"
+    for indices, message in (([0.5, 1, 2], "input_indices must be integers"),
+                             ([True, 1, 2], "input_indices must be integers"),
+                             ([0, 1, 1], "duplicate input_indices"),
+                             ([0, 1.0, 1], "duplicate input_indices")):
+        path.write_text(json.dumps({**doc, "input_indices": indices}))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+    path.write_text(json.dumps({**doc, "input_indices": [0, 1.0, 2]}))
+    assert load_model(path).input_indices == (0, 1, 2)
+
+
 def test_from_document_checks_output_dim_against_weights(lorenz_task):
     doc = to_document(lorenz_task.model)
     assert doc["output_dim"] == lorenz_task.model.output_dim == 3
@@ -211,9 +225,11 @@ def test_train_inferrer_rejects_bad_component_choices(accurate_lorenz):
     with pytest.raises(ValueError, match="out of range"):
         train_inferrer(accurate_lorenz, observed=(-3, 1), target=2, spec=spec, alpha=1e-6)
     model = train_inferrer(accurate_lorenz, observed=(0, 1), target=2, spec=spec, alpha=1e-6)
-    for indices in ((-3, 1), (0, 3)):
-        with pytest.raises(ValueError, match="model reads components"):
-            infer(replace(model, input_indices=indices), accurate_lorenz)
+    with pytest.raises(ValueError, match="model reads components"):
+        infer(replace(model, input_indices=(0, 3)), accurate_lorenz)
+    # a negative index is refused by the model itself
+    with pytest.raises(ValueError, match="input_indices must all be >= 0"):
+        replace(model, input_indices=(-3, 1))
 
 
 def test_infer_requires_inference_model(lorenz_task, accurate_lorenz):

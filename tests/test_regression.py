@@ -104,6 +104,20 @@ def test_nonfinite_training_data_is_invalid_input_not_a_singular_system():
             ridge_fit(TrainingBlock(np.ones((1, 3)), np.array([[1.0, bad, 3.0]])), 1e-6)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_normal_equations_of_finite_data_are_a_singular_system():
+    # each entry is finite, but O O^T (first case) or O Y^T (second) is not
+    big = np.array([[1e200, 1.0, 3.0]])
+    with pytest.raises(SingularSystemError, match="overflow"):
+        ridge_fit(TrainingBlock(big, np.ones((1, 3))), 1e-6)
+    with pytest.raises(SingularSystemError, match="overflow"):
+        ridge_fit(TrainingBlock(np.array([[1e150, 1.0, 3.0]]), 1e200 * np.ones((1, 3))), 1e-6)
+    # a non-finite entry stays invalid input, whatever else overflows
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ridge_fit(TrainingBlock(np.vstack([big, [[bad, 1.0, 1.0]]]), np.ones((1, 3))), 1e-6)
+
+
 @pytest.mark.parametrize("alpha", [-1e-6, np.nan, np.inf])
 def test_bad_alpha_is_invalid_input_not_a_singular_system(alpha):
     block = TrainingBlock(np.ones((1, 3)), np.ones((1, 3)))

@@ -194,6 +194,68 @@ def test_estimate_model_uss_reports_no_root_as_none():
     assert root is None
 
 
+def complex_step_jacobian(model, x):
+    """The Jacobian as estimate_model_uss takes it: one complex step per component."""
+    h = 1e-20
+    return learned_map_residual(model, x[:, None] + 1j * h * np.eye(x.size)).imag / h
+
+
+def test_complex_step_jacobian_is_the_analytic_derivative():
+    # d=2, k=1, quadratic: features [1, x, y, x^2, xy, y^2]
+    spec = FeatureSpec(d=2, k=1, s=1, degrees=(2,), include_constant=True)
+    model = NgrcModel(spec=spec, readout=ReadoutMatrix(
+        np.array([[1.0, 2.0, 0.0, 3.0, 1.0, 0.0],     # 1 + 2x + 3x^2 + xy
+                  [0.0, 0.0, -1.0, 0.0, 2.0, 5.0]]),  # -y + 2xy + 5y^2
+        alpha=0.0), mode=Mode.FORECAST_DELTA, input_indices=(0, 1))
+    for x, y in ((0.0, 0.0), (1.5, -2.25), (-3.0, 7.0), (1e3, 1e-3)):
+        analytic = np.array([[2.0 + 6.0 * x + y, x], [2.0 * y, -1.0 + 2.0 * x + 10.0 * y]])
+        assert np.allclose(complex_step_jacobian(model, np.array([x, y])), analytic,
+                           rtol=1e-15, atol=0.0)
+
+
+def test_complex_step_jacobian_matches_central_differences(lorenz_task):
+    model = lorenz_task.model
+    for state in [*lorenz_uss(), lorenz_task.mother.values[123]]:
+        jac = complex_step_jacobian(model, state)
+        central = np.empty_like(jac)
+        for c in range(state.size):
+            step = 1e-6 * (1.0 + abs(state[c]))
+            plus, minus = state.copy(), state.copy()
+            plus[c] += step
+            minus[c] -= step
+            central[:, c] = (learned_map_residual(model, plus)
+                             - learned_map_residual(model, minus)) / (2.0 * step)
+        assert np.linalg.norm(jac - central) <= 1e-6 * np.linalg.norm(jac)
+
+
+def test_learned_map_residual_columns_equal_single_states_bit_for_bit(lorenz_task,
+                                                                      ds_task):
+    rng = np.random.default_rng(7)
+    for model in (lorenz_task.model, ds_task.model):
+        for n in (1, 3, 8):
+            states = 10.0 * rng.normal(size=(model.spec.d, n))
+            for columns in (states, states + 1e-20j * rng.normal(size=states.shape)):
+                batch = learned_map_residual(model, columns)
+                assert batch.shape == columns.shape
+                single = np.column_stack([learned_map_residual(model, columns[:, j].copy())
+                                          for j in range(n)])
+                assert np.array_equal(batch, single)
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimate_model_uss_reports_every_failure_as_none_without_warning(lorenz_task):
+    # non-finite guesses, a map with a singular Jacobian everywhere, and a
+    # quadratic map with no real fixed point, whose iterates wander off
+    guesses = [np.array([np.nan, 0.0, 0.0]), np.array([np.inf, 1.0, 1.0]),
+               np.array([1e200, -1e200, 1e200])]
+    assert estimate_model_uss(lorenz_task.model, guesses) == [None] * 3
+    assert estimate_model_uss(scalar_map_model([1.0, 0.0]), [np.array([2.0])]) == [None]
+    no_root = NgrcModel(spec=FeatureSpec(d=1, k=1, s=1, degrees=(2,)),
+                        readout=ReadoutMatrix(np.array([[1.0, 0.0, 1.0]]), alpha=0.0),
+                        mode=Mode.FORECAST_DELTA, input_indices=(0,))  # 1 + x^2
+    assert estimate_model_uss(no_root, [np.array([0.0]), np.array([0.5])]) == [None, None]
+
+
 def test_uss_report_structure():
     model = scalar_map_model([0.5, -0.5])
     scaling = ScalingVector(np.array([2.0]))
