@@ -27,7 +27,7 @@ def reject(*problems) -> None:
 def _whole(value) -> bool:
     # NaN and the infinities are not whole, and int() of them would raise;
     # True == 1, but a flag is not a count
-    return not isinstance(value, bool) and -inf < value < inf and int(value) == value
+    return not isinstance(value, (bool, np.bool_)) and -inf < value < inf and int(value) == value
 
 
 def integer(name: str, value, least: int):

@@ -169,7 +169,10 @@ def feature_block(series: TimeSeries, spec: FeatureSpec, indices) -> np.ndarray:
         raise ValueError(
             f"series has {series.n_components} components but spec.d = {spec.d}"
         )
-    indices = np.asarray(indices, dtype=np.intp)
+    indices = np.asarray(indices)
+    if indices.size and indices.dtype.kind not in "iu":
+        raise ValueError(f"indices must be integers, got dtype {indices.dtype}")
+    indices = indices.astype(np.intp, copy=False)
     if indices.size and indices.min() < spec.warmup_index:
         raise WarmupError(
             f"index {indices.min()} precedes warm-up: need i >= {spec.warmup_index}"

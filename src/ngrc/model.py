@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field, fields
+from math import inf
 
 import numpy as np
 
@@ -156,8 +157,9 @@ def train_inferrer(series: TimeSeries, observed, target: int, spec: FeatureSpec,
     is the hidden component at the same index (no difference form, the
     constant feature absorbs any offset).
     """
-    observed = tuple(int(i) for i in observed)
-    target = int(target)
+    observed = tuple(observed)
+    reject(integers("observed", observed, -inf), integer("target", target, -inf))
+    observed, target = tuple(map(int, observed)), int(target)
     reject(target in observed
            and f"target component {target} must not be among the observed {observed}",
            not all(0 <= i < series.n_components for i in (*observed, target))

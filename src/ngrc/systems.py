@@ -76,7 +76,13 @@ class SystemDef:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
-    """How to integrate: grid, span, start point, method, tolerances, noise."""
+    """How to integrate: grid, span, start point, method, tolerances, noise.
+
+    Both integrators read ``dt``, ``t_span`` and ``initial_state``.
+    :func:`integrate` reads ``method``, ``rtol`` and ``atol``, and refuses a
+    config with ``noise_rms > 0``; :func:`integrate_noisy` reads ``seed``,
+    ``noise_rms`` and ``substeps`` and ignores the other three.
+    """
 
     dt: float
     t_span: tuple[float, float]
@@ -466,8 +472,11 @@ def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     (rtol, atol). RK23 evaluates its dense output at the grid times; DOP853
     cuts a step short at each grid time, so its steps depend on the grid.
     Raises IntegrationError if the field is not finite at the start or the
-    step size collapses.
+    step size collapses, and ValueError for a noisy config.
     """
+    if config.noise_rms > 0:
+        raise ValueError(f"integrate ignores noise_rms = {config.noise_rms}; "
+                         "use integrate_noisy for a forced run")
     grid = config.grid()
     values = _runge_kutta(_PAIRS[config.method], system.rhs, grid, config.initial_state,
                           config.rtol, config.atol)

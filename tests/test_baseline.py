@@ -13,11 +13,14 @@ from ngrc import (
     TimeSeries,
     build_reservoir,
     estimate_cost,
+    feature_length,
     quadratic_readout_features,
     reservoir_run,
     training_cost_ngrc,
     training_cost_rc,
 )
+from ngrc.baseline import COMPLEXITY_CASES
+from ngrc.cli import _EXPERIMENTS, resolve_config
 
 
 def test_adjacency_sparsity_and_spectral_radius():
@@ -167,6 +170,24 @@ def test_cost_params_validation():
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
                 CostParams(**{name: value})
+
+
+@pytest.mark.parametrize("case, task", zip(COMPLEXITY_CASES,
+                                           ["forecast-lorenz", "forecast-doublescroll"]))
+def test_complexity_ngrc_sizes_match_the_forecast_tasks(case, task):
+    # the cost table's NG-RC column is the forecast task's default model, so a
+    # default changed in one place cannot leave the table stale
+    config = resolve_config({"task": task})
+    system = _EXPERIMENTS[task][1]()
+    spec = config.feature_spec(system.dim)
+    n_total = feature_length(spec)
+    assert case["system"] == system.name
+    assert case["ngrc"] == {
+        "m_warmup": spec.warmup_index + 1,
+        "m_train": config["train_points"],
+        "n_total": n_total,
+        "n_nonlinear": n_total - spec.n_linear - spec.include_constant,
+    }
 
 
 def test_reservoir_forecast_smoke(accurate_lorenz):

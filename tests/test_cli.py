@@ -397,7 +397,7 @@ def test_main_reports_data_dependent_failures_as_numerical(tmp_path, capsys):
 
 
 def _runner_raising(error):
-    def runner(config, system, out):
+    def runner(config):
         with ngrc.cli._stage("failing stage"):
             raise error
     return runner
@@ -408,13 +408,14 @@ def test_main_reports_only_numerical_errors_as_numerical_failure(tmp_path, capsy
     config = write_config(tmp_path, {"task": "complexity"})
     out = str(tmp_path / "out")
     monkeypatch.setitem(ngrc.cli._EXPERIMENTS, "complexity",
-                        (_runner_raising(IntegrationError("step size underflow")), None))
+                        (_runner_raising(IntegrationError("step size underflow")), None, None))
     assert main(["run", config, "--out", out, "--quiet"]) == 3
     assert "failing stage" in capsys.readouterr().err
 
     # a programming error is not a numerical failure: it propagates as is
     for error in (TypeError("bad call"), KeyError("missing")):
-        monkeypatch.setitem(ngrc.cli._EXPERIMENTS, "complexity", (_runner_raising(error), None))
+        monkeypatch.setitem(ngrc.cli._EXPERIMENTS, "complexity",
+                            (_runner_raising(error), None, None))
         with pytest.raises(type(error)):
             main(["run", config, "--out", out, "--quiet"])
 
@@ -438,7 +439,7 @@ def test_noise_seeds_draw_independent_noise(tmp_path):
 
 def test_main_reports_a_diverging_noisy_ensemble_as_numerical(tmp_path, capsys):
     # forcing of RMS 1e3 per unit time blows the Heun paths up within a few
-    # samples; the loose tolerance only shortens the reference trajectory
+    # samples; the loose tolerance only shortens the ground truth's integration
     doc = {"task": "noise-lorenz", "noise_rms": 1e3, "repeats": 2, "rtol": 1e-3, "atol": 1e-6}
     config = write_config(tmp_path, doc)
     assert main(["validate", config, "--quiet"]) == 0

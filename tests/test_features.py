@@ -219,6 +219,10 @@ def test_feature_block_rejects_warmup_indices(accurate_lorenz):
     spec = FeatureSpec(d=3, k=2, s=3, degrees=(2,))
     with pytest.raises(WarmupError):
         feature_block(accurate_lorenz, spec, np.array([1, 5]))
+    # fractional and boolean indices are refused, not truncated or taken as 0 and 1
+    for indices in ([5.7], [4.0, 5.0], [True], np.array([False, True])):
+        with pytest.raises(ValueError, match="indices must be integers"):
+            feature_block(accurate_lorenz, spec, indices)
 
 
 def test_feature_names_shape_and_uniqueness():

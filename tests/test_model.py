@@ -224,6 +224,13 @@ def test_train_inferrer_rejects_bad_component_choices(accurate_lorenz):
         train_inferrer(accurate_lorenz, observed=(0, 1), target=-1, spec=spec, alpha=1e-6)
     with pytest.raises(ValueError, match="out of range"):
         train_inferrer(accurate_lorenz, observed=(-3, 1), target=2, spec=spec, alpha=1e-6)
+    # fractional or boolean indices are refused, not truncated
+    for observed, target, field in [((0.5, 1.9), 2, "observed"), ((0, 1), 2.7, "target"),
+                                    ((True, 0), 2, "observed"), ((0, 1), True, "target"),
+                                    ((0, np.True_), 2, "observed")]:
+        with pytest.raises(ValueError, match=field):
+            train_inferrer(accurate_lorenz, observed=observed, target=target, spec=spec,
+                           alpha=1e-6)
     model = train_inferrer(accurate_lorenz, observed=(0, 1), target=2, spec=spec, alpha=1e-6)
     with pytest.raises(ValueError, match="model reads components"):
         infer(replace(model, input_indices=(0, 3)), accurate_lorenz)

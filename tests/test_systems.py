@@ -219,6 +219,11 @@ def test_integration_config_validation():
         with pytest.raises(ValueError, match=field):
             IntegrationConfig(**{"dt": 0.1, "t_span": (0.0, 1.0),
                                  "initial_state": np.ones(3), **kw})
+    # noise is integrate_noisy's to read; integrate would drop it silently
+    noisy = IntegrationConfig(dt=0.1, t_span=(0.0, 1.0), initial_state=np.ones(3),
+                              noise_rms=5.0, seed=1)
+    with pytest.raises(ValueError, match="integrate_noisy"):
+        integrate(lorenz63(), noisy)
 
 
 def test_integrate_rejects_nonfinite_initial_state():
@@ -469,7 +474,7 @@ def test_ground_truth_matches_tracked_runs(task_name, run, request):
 
 
 def test_dop853_ground_truth_matches_tracked_run():
-    # noise-lorenz's reference trajectory: on-attractor start after a
+    # noise-lorenz's ground truth: on-attractor start after a
     # 25-unit transient, then 10,001 samples of dt 0.025, all on DOP853 at
     # rtol 1e-8; its component stds are tracked bit-exact, and its RHS
     # calls, scipy's at this full length, are pinned
