@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -93,81 +94,6 @@ _FORECAST_KEYS = {
     "uss_segments": 10,
     "return_map_window": 1000.0,
 }
-
-# Per-task default (and therefore allowed) keys. `task`, `seed` and
-# `out_dir` are accepted everywhere.
-TASK_DEFAULTS: dict[str, dict] = {
-    "forecast-lorenz": dict(_FORECAST_KEYS),
-    "forecast-doublescroll": {
-        **_FORECAST_KEYS,
-        "dt": 0.25,
-        "transient_time": 100.0,
-        "degrees": [3],
-        "include_constant": False,
-        "return_map_window": 0.0,
-    },
-    "infer-lorenz": {
-        **_INTEGRATION_KEYS,
-        **_FEATURE_KEYS,
-        # open-loop inference has no feedback instability, so accurate data
-        # strictly helps; coarse data leaks interpolation noise into the
-        # observed components and inflates the testing error. Unlike
-        # noise-lorenz and baseline-rc this task stays on RK23: its
-        # test/train ratio depends on the exact 400-point window (the bound
-        # of 2 already fails for transient_time 27.5), and DOP853 data moves
-        # the canonical window itself above the bound.
-        "rtol": 1e-8,
-        "atol": 1e-10,
-        "dt": 0.05,
-        "k": 4,
-        "s": 5,
-        "train_points": 400,
-        "test_points": 400,
-        "alpha": 2.5e-6,
-        "observed": [0, 1],
-        "target": 2,
-    },
-    "sweep-trainsize": {
-        **_INTEGRATION_KEYS,
-        **_FEATURE_KEYS,
-        "alpha": 2.5e-6,
-        "sizes": [100, 150, 200, 250, 300, 400, 500, 600, 800, 1000],
-        "segments": 20,
-        # short enough that poorly trained small-size models give large but
-        # finite errors (fluctuations, not overflow), so segment means stay
-        # meaningful across the whole size range
-        "nrmse_horizon": 0.125,
-    },
-    "noise-lorenz": {
-        **_INTEGRATION_KEYS,
-        **_FEATURE_KEYS,
-        # reference/truth runs here must be far more accurate than the
-        # forecast error being measured; the training noise comes from the
-        # explicit stochastic forcing, not from integration jitter
-        "rtol": 1e-8,
-        "atol": 1e-10,
-        "train_points": 400,
-        "alpha": 1.4e-2,
-        "noise_rms": 1.0,
-        "substeps": 20,
-        "repeats": 10,
-        # the published error figure corresponds to roughly a quarter of a
-        # Lyapunov time; beyond that chaos amplifies the initial offset
-        "rmse_horizon": 0.25,
-    },
-    "complexity": {},
-    "baseline-rc": {
-        **_INTEGRATION_KEYS,
-        "rtol": 1e-8,
-        "atol": 1e-10,
-        "train_points": 400,
-        "warmup_points": 100,
-        "alpha": 1e-6,
-        **_RESERVOIR_KEYS,
-    },
-}
-
-TASKS = tuple(TASK_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -268,11 +194,12 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError([f"{source}: config must be a flat JSON object"])
     task = raw.get("task")
-    if task not in TASKS:
+    if not isinstance(task, str) or task not in TASKS:  # a list would not hash
         problem = "missing" if task is None else f"unknown task {task!r}"
         raise ConfigError([f"task: {problem} (one of " + ", ".join(TASKS) + ")"])
 
-    defaults = {"seed": 0, "out_dir": f"runs/{task}", **TASK_DEFAULTS[task]}
+    record = TASKS[task]
+    defaults = {"seed": 0, "out_dir": f"runs/{task}", **record.defaults}
     settings = dict(defaults)
     for key, value in raw.items():
         if key == "task":
@@ -294,15 +221,14 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
 
     config = ExperimentConfig(task=task, seed=settings.pop("seed"),
                               out_dir=settings.pop("out_dir"), settings=settings)
-    make_system = _EXPERIMENTS[task][1]
-    if make_system is not None:
-        system = make_system()
+    if record.system is not None:
+        system = record.system()
         # the model sees the observed components only
         d = len(settings["observed"]) if "observed" in settings else system.dim
         errors += _library_errors(config, system, d)
     if errors:
         raise ConfigError(errors)
-    if make_system is None:
+    if record.system is None:
         return config
 
     # Rules across keys, once every key is valid on its own.
@@ -339,7 +265,7 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError(errors)
     # The ground truth as its runner builds it, once the counts it is made of
     # are known to be finite: dt must also be short enough for its span.
-    n_truth = _truth_samples(config, system)
+    n_truth = record.truth_samples(config, system)
     try:
         _integration_config(config, system.start, n_truth)
     except ValueError as exc:
@@ -376,31 +302,20 @@ def _integration_config(config: ExperimentConfig, x0, n_samples: int, t0: float 
                              rtol=config["rtol"], atol=config["atol"], method=method, **noise)
 
 
-def _ground_truth(config: ExperimentConfig, system: SystemDef, method: str) -> TimeSeries:
+def _ground_truth(config: ExperimentConfig, system: SystemDef) -> TimeSeries:
     """The task's ground truth: a trajectory from the attractor after the transient."""
+    task = TASKS[config.task]
     x0 = on_attractor_state(system, config["transient_time"], rtol=config["rtol"],
-                            atol=config["atol"], method=method)
-    return integrate(system, _integration_config(config, x0, _truth_samples(config, system),
-                                                 method=method))
+                            atol=config["atol"], method=task.method)
+    return integrate(system, _integration_config(config, x0, task.truth_samples(config, system),
+                                                 method=task.method))
 
 
-def _truth_samples(config: ExperimentConfig, system: SystemDef) -> int:
-    """The samples of the task's ground truth, the longest span it integrates.
-
-    ``_ground_truth`` integrates this many, and ``resolve_config`` builds the
-    same IntegrationConfig, so a dt that this span overflows fails validation.
-    """
-    task, train_points = config.task, config.settings.get("train_points")
-    if task in ("forecast-lorenz", "forecast-doublescroll"):
-        n_test, _, n_forecast = _forecast_steps(config, system)
-        return max(train_points + n_forecast, config["uss_segments"] * train_points + n_test) + 1
-    if task == "sweep-trainsize":
-        return config["segments"] * _sweep_steps(config, system)[1] + 1
-    if task == "infer-lorenz":
-        return train_points + config["test_points"]
-    if task == "noise-lorenz":
-        return 10001  # a long run, for the scaling; its first sample starts the ensemble
-    return config["warmup_points"] + train_points + 1  # baseline-rc
+def _forecast_truth_samples(config: ExperimentConfig, system: SystemDef) -> int:
+    """Segment 0's training window and rollout, or every segment's window and test."""
+    train_points = config["train_points"]
+    n_test, _, n_forecast = _forecast_steps(config, system)
+    return max(train_points + n_forecast, config["uss_segments"] * train_points + n_test) + 1
 
 
 def _forecast_steps(config: ExperimentConfig, system: SystemDef) -> tuple[int, int, int]:
@@ -525,6 +440,16 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
     return summary
 
 
+def _forecast_headline(summary: dict) -> str:
+    dists = [e["scaled_distance"] for e in summary["uss"] if e["scaled_distance"] is not None]
+    uss = f"worst USS distance {max(dists):.2e}" if dists else "no steady state converged"
+    line = (f"valid_time {summary['valid_time_lyapunov']:.2f} Ly "
+            f"(median {summary['valid_time_median']:.2f}), {uss}")
+    if "return_map" in summary:
+        line += f", return map off by {100 * summary['return_map']['relative_deviation']:.3f}%"
+    return line
+
+
 def _run_infer(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
                scaling: ScalingVector, out: Path) -> dict:
     observed = tuple(config["observed"])
@@ -602,12 +527,18 @@ def _run_sweep(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
     }
 
 
+def _sweep_headline(summary: dict) -> str:
+    sizes = summary["sizes"]
+    means = " / ".join(f"{summary['mean_nrmse'][str(size)]:.1e}" for size in sizes)
+    return f"mean NRMSE at {'/'.join(map(str, sizes))} points: {means}"
+
+
 def _run_noise(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
                scaling: ScalingVector, out: Path) -> dict:
     spec = config.feature_spec(system.dim)
     train_points = config["train_points"]
     n_horizon = _horizon_steps(config, system, "rmse_horizon")
-    method = _EXPERIMENTS[config.task][2]
+    method = TASKS[config.task].method
     # The ground truth's first sample is the on-attractor state itself.
     x0 = truth.values[0]
     unscaled = ScalingVector(np.ones(system.dim))
@@ -661,6 +592,12 @@ def _run_complexity(config: ExperimentConfig) -> dict:
     return {"tables": tables}
 
 
+def _complexity_headline(summary: dict) -> str:
+    row = summary["tables"][0]["rows"][0]
+    lo, hi = row["computed_speedup"]
+    return f"speedup vs {row['reference']}: {lo:.1f}-{hi:.1f} (published {row['quoted_speedup']})"
+
+
 def _run_baseline(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
                   scaling: ScalingVector, out: Path) -> dict:
     train_points, warmup_points = config["train_points"], config["warmup_points"]
@@ -690,23 +627,126 @@ def _run_baseline(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
     }
 
 
-# Each task's runner, the factory of the system it runs on and the method of
-# its ground truth (None, None for a task without a system). The system is
-# built anew for every run and validation. The method integrates the
-# transient, the ground truth and every other noise-free solve of the task.
-# RK23 at the loose default tolerances leaves the sampling jitter that the
-# forecast tasks' published alpha is tuned to, so they stay on it; infer-lorenz
-# stays on it too (see its defaults). The tight (rtol 1e-8) ground truths of
-# noise-lorenz and baseline-rc take DOP853, which needs about a tenth of
-# RK23's RHS calls there.
-_EXPERIMENTS = {
-    "forecast-lorenz": (_run_forecast, lorenz63, "RK23"),
-    "forecast-doublescroll": (_run_forecast, double_scroll, "RK23"),
-    "infer-lorenz": (_run_infer, lorenz63, "RK23"),
-    "sweep-trainsize": (_run_sweep, lorenz63, "RK23"),
-    "noise-lorenz": (_run_noise, lorenz63, "DOP853"),
-    "complexity": (_run_complexity, None, None),
-    "baseline-rc": (_run_baseline, lorenz63, "DOP853"),
+@dataclass(frozen=True)
+class _Task:
+    """What one task is, for the CLI, ``ngrc report`` and the reproduce script."""
+
+    defaults: dict  # its keys are the task's allowed keys, besides task, seed and out_dir
+    runner: Callable[..., dict]  # (config, system, truth, scaling, out), or (config) alone
+    headline: Callable[[dict], str]  # one line of a summary's results
+    system: Callable[[], SystemDef] | None = None  # built anew for every run and validation
+    method: str | None = None
+    # The samples of the ground truth, the longest span that the task integrates.
+    # ``_ground_truth`` integrates this many, and ``resolve_config`` builds the
+    # same IntegrationConfig, so a dt that this span overflows fails validation.
+    truth_samples: Callable[[ExperimentConfig, SystemDef], int] | None = None
+
+
+# Every task, with its defaults. A task with a system gets a ground truth,
+# integrated by its ``method``, which also takes the transient and every other
+# noise-free solve of the task. RK23 at the loose default tolerances leaves the
+# sampling jitter that the forecast tasks' published alpha is tuned to, so they
+# stay on it; infer-lorenz stays on it too (see its defaults). The tight
+# (rtol 1e-8) ground truths of noise-lorenz and baseline-rc take DOP853, which
+# needs about a tenth of RK23's RHS calls there.
+TASKS: dict[str, _Task] = {
+    "forecast-lorenz": _Task(
+        defaults=dict(_FORECAST_KEYS),
+        runner=_run_forecast, system=lorenz63, method="RK23",
+        truth_samples=_forecast_truth_samples, headline=_forecast_headline),
+    "forecast-doublescroll": _Task(
+        defaults={
+            **_FORECAST_KEYS,
+            "dt": 0.25,
+            "transient_time": 100.0,
+            "degrees": [3],
+            "include_constant": False,
+            "return_map_window": 0.0,
+        },
+        runner=_run_forecast, system=double_scroll, method="RK23",
+        truth_samples=_forecast_truth_samples, headline=_forecast_headline),
+    "infer-lorenz": _Task(
+        defaults={
+            **_INTEGRATION_KEYS,
+            **_FEATURE_KEYS,
+            # open-loop inference has no feedback instability, so accurate data
+            # strictly helps; coarse data leaks interpolation noise into the
+            # observed components and inflates the testing error. Unlike
+            # noise-lorenz and baseline-rc this task stays on RK23: its
+            # test/train ratio depends on the exact 400-point window (the bound
+            # of 2 already fails for transient_time 27.5), and DOP853 data moves
+            # the canonical window itself above the bound.
+            "rtol": 1e-8,
+            "atol": 1e-10,
+            "dt": 0.05,
+            "k": 4,
+            "s": 5,
+            "train_points": 400,
+            "test_points": 400,
+            "alpha": 2.5e-6,
+            "observed": [0, 1],
+            "target": 2,
+        },
+        runner=_run_infer, system=lorenz63, method="RK23",
+        truth_samples=lambda config, system: config["train_points"] + config["test_points"],
+        headline=lambda summary: (f"train NRMSE {summary['train_nrmse']:.2e}, "
+                                  f"test NRMSE {summary['test_nrmse']:.2e} "
+                                  f"(ratio {summary['test_to_train_ratio']:.2f})")),
+    "sweep-trainsize": _Task(
+        defaults={
+            **_INTEGRATION_KEYS,
+            **_FEATURE_KEYS,
+            "alpha": 2.5e-6,
+            "sizes": [100, 150, 200, 250, 300, 400, 500, 600, 800, 1000],
+            "segments": 20,
+            # short enough that poorly trained small-size models give large but
+            # finite errors (fluctuations, not overflow), so segment means stay
+            # meaningful across the whole size range
+            "nrmse_horizon": 0.125,
+        },
+        runner=_run_sweep, system=lorenz63, method="RK23",
+        truth_samples=lambda config, system: (
+            config["segments"] * _sweep_steps(config, system)[1] + 1),
+        headline=_sweep_headline),
+    "noise-lorenz": _Task(
+        defaults={
+            **_INTEGRATION_KEYS,
+            **_FEATURE_KEYS,
+            # reference/truth runs here must be far more accurate than the
+            # forecast error being measured; the training noise comes from the
+            # explicit stochastic forcing, not from integration jitter
+            "rtol": 1e-8,
+            "atol": 1e-10,
+            "train_points": 400,
+            "alpha": 1.4e-2,
+            "noise_rms": 1.0,
+            "substeps": 20,
+            "repeats": 10,
+            # the published error figure corresponds to roughly a quarter of a
+            # Lyapunov time; beyond that chaos amplifies the initial offset
+            "rmse_horizon": 0.25,
+        },
+        runner=_run_noise, system=lorenz63, method="DOP853",
+        # a long run, for the scaling; its first sample starts the ensemble
+        truth_samples=lambda config, system: 10001,
+        headline=lambda summary: (f"median scaled RMSE {summary['scaled_rmse_median']:.2e} "
+                                  f"over {summary['repeats']} seeds")),
+    "complexity": _Task(defaults={}, runner=_run_complexity, headline=_complexity_headline),
+    "baseline-rc": _Task(
+        defaults={
+            **_INTEGRATION_KEYS,
+            "rtol": 1e-8,
+            "atol": 1e-10,
+            "train_points": 400,
+            "warmup_points": 100,
+            "alpha": 1e-6,
+            **_RESERVOIR_KEYS,
+        },
+        runner=_run_baseline, system=lorenz63, method="DOP853",
+        truth_samples=lambda config, system: (
+            config["warmup_points"] + config["train_points"] + 1),
+        headline=lambda summary: (f"train NRMSE {summary['train_nrmse']:.2e} "
+                                  f"with {summary['n_nodes']} nodes")),
 }
 
 
@@ -735,16 +775,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner, make_system, method = _EXPERIMENTS[config.task]
+    task = TASKS[config.task]
     summary = {"task": config.task}
-    if make_system is None:
-        summary.update(runner(config))
+    if task.system is None:
+        summary.update(task.runner(config))
     else:
-        system = make_system()
+        system = task.system()
         with _stage("integrate ground truth"):
-            truth = _ground_truth(config, system, method)
+            truth = _ground_truth(config, system)
         summary["system"] = system.name
-        summary.update(runner(config, system, truth, ScalingVector.from_series(truth), out))
+        summary.update(task.runner(config, system, truth, ScalingVector.from_series(truth), out))
 
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -756,29 +796,13 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
 
 def _print_report(summary: dict) -> None:
-    skip = {"task", "readout_ranked", "valid_times", "scaled_rmse_values",
-            "raw_rmse_values", "scaling", "uss", "tables", "mean_nrmse", "std_nrmse"}
-    print(f"task: {summary.get('task')}")
+    """The task, its headline, then the summary's scalar entries."""
+    print(f"task: {summary['task']}")
+    print(TASKS[summary["task"]].headline(summary))
     for key, value in summary.items():
-        if key not in skip:
+        # numbers (booleans among them), strings and null
+        if key != "task" and (value is None or isinstance(value, (int, float, str))):
             print(f"  {key}: {value}")
-    if "uss" in summary:
-        for entry in summary["uss"]:
-            true_state = np.array(entry["true_state"])
-            print(f"  uss {np.round(true_state, 3).tolist()} -> scaled distance "
-                  f"{entry['scaled_distance']} (dispersion {entry['dispersion_std']})")
-    if "tables" in summary:
-        for table in summary["tables"]:
-            ng = table["ngrc"]
-            print(f"  {table['system']}: features n_total={ng['n_total']} "
-                  f"n_nonlinear={ng['n_nonlinear']}")
-            for row in table["rows"]:
-                computed = ", ".join(f"{v:.3g}" for v in row["computed_speedup"])
-                print(f"    vs {row['reference']}: computed speedup [{computed}] "
-                      f"(published {row['quoted_speedup']})")
-    if "mean_nrmse" in summary:
-        for size, value in summary["mean_nrmse"].items():
-            print(f"  train_points {size}: mean NRMSE {value:.3e}")
 
 
 def main(argv=None) -> int:
@@ -812,7 +836,8 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             print(f"error: cannot read {summary_path}: {exc}", file=sys.stderr)
             return 2
-        if not isinstance(summary, dict):
+        task = summary.get("task") if isinstance(summary, dict) else None
+        if not isinstance(task, str) or task not in TASKS:
             print(f"error: {summary_path} holds no run summary", file=sys.stderr)
             return 2
         _print_report(summary)

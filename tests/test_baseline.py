@@ -20,7 +20,7 @@ from ngrc import (
     training_cost_rc,
 )
 from ngrc.baseline import COMPLEXITY_CASES
-from ngrc.cli import _EXPERIMENTS, resolve_config
+from ngrc.cli import TASKS, resolve_config
 
 
 def test_adjacency_sparsity_and_spectral_radius():
@@ -178,7 +178,7 @@ def test_complexity_ngrc_sizes_match_the_forecast_tasks(case, task):
     # the cost table's NG-RC column is the forecast task's default model, so a
     # default changed in one place cannot leave the table stale
     config = resolve_config({"task": task})
-    system = _EXPERIMENTS[task][1]()
+    system = TASKS[task].system()
     spec = config.feature_spec(system.dim)
     n_total = feature_length(spec)
     assert case["system"] == system.name

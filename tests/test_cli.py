@@ -28,7 +28,6 @@ from ngrc import (
     ridge_fit,
 )
 from ngrc.cli import (
-    TASK_DEFAULTS,
     TASKS,
     ConfigError,
     main,
@@ -54,10 +53,14 @@ def reduced_forecast_config(**overrides):
 
 
 def test_every_task_has_defaults():
-    assert set(TASK_DEFAULTS) == set(TASKS)
-    for task in TASKS:
+    # each task has its canonical config, and each config names its own file's task
+    configs = {path.stem: json.loads(path.read_text())["task"]
+               for path in (ROOT / "configs").glob("*.json")}
+    assert set(configs) == set(TASKS)
+    assert all(name == task for name, task in configs.items())
+    for task, record in TASKS.items():
         config = resolve_config({"task": task})
-        assert config.settings == TASK_DEFAULTS[task]
+        assert config.settings == record.defaults
         assert config.seed == 0
         assert config.out_dir == f"runs/{task}"
 
@@ -96,6 +99,8 @@ def test_resolve_config_requires_known_task():
         resolve_config({})
     with pytest.raises(ConfigError, match="unknown task"):
         resolve_config({"task": "forecast-rossler"})
+    with pytest.raises(ConfigError, match="unknown task"):
+        resolve_config({"task": ["complexity"]})  # not a name, and it does not hash
     with pytest.raises(ConfigError):
         resolve_config(["task"])
 
@@ -174,7 +179,7 @@ def test_tracked_readout_labels_match_feature_layout(task):
     # at the column that the current feature_names gives its label
     model = load_model(ROOT / "runs" / task / "model.json")
     summary = json.loads((ROOT / "runs" / task / "summary.json").read_text())
-    components = ngrc.cli._EXPERIMENTS[task][1]().components
+    components = TASKS[task].system().components
     names = feature_names(model.spec, [components[i] for i in model.input_indices])
     weights = model.readout.weights
     assert len(summary["readout_ranked"]) == weights.size
@@ -270,7 +275,8 @@ sys.exit(any(main(["run", f"configs/{task}.json", "--out", f"{out}/{task}", "--q
     ("forecast-doublescroll", "noise-lorenz"),
     pytest.param(("baseline-rc",), marks=pytest.mark.xfail(
         strict=True, raises=AssertionError,
-        reason="ROADMAP item 4: baseline-rc's train_nrmse moves in the 14th digit")),
+        reason="ROADMAP (platform independence: the ridge solve): "
+               "baseline-rc's train_nrmse moves in the 14th digit")),
 ])
 def test_canonical_runs_are_byte_identical_at_one_blas_thread(tasks, tmp_path):
     # OpenBLAS reads its thread count when numpy loads, hence the subprocess
@@ -344,7 +350,9 @@ def test_main_report_subcommand(tmp_path, capsys):
 
     assert main(["report", str(tmp_path / "never-ran")]) == 2
     assert "summary.json" in capsys.readouterr().err
-    for i, contents in enumerate(["{truncated", "[1, 2]", None]):
+    # a summary names a known task; a list as the task would not even hash
+    for i, contents in enumerate(["{truncated", "[1, 2]", None, "{}", '{"task": "nope"}',
+                                  '{"task": ["complexity"]}']):
         broken = tmp_path / f"broken{i}"
         if contents is None:
             (broken / "summary.json").mkdir(parents=True)
@@ -353,6 +361,31 @@ def test_main_report_subcommand(tmp_path, capsys):
             (broken / "summary.json").write_text(contents)
         assert main(["report", str(broken)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_report_prints_the_headline_of_the_task_record(task, capsys):
+    # the reproduce script prints the same record's headline for the same summary
+    run = ROOT / "runs" / task
+    summary = json.loads((run / "summary.json").read_text())
+    assert main(["report", str(run)]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [f"task: {task}",
+                                                        TASKS[task].headline(summary)]
+
+
+@pytest.mark.parametrize("doc, headline", [
+    # sizes other than the canonical ones
+    ({"task": "sweep-trainsize", "sizes": [60, 50], "segments": 2},
+     r"mean NRMSE at 50/60 points: \S+ / \S+"),
+    # too few training points for any steady state to converge
+    ({"task": "forecast-lorenz", "train_points": 5, "uss_segments": 1,
+      "return_map_window": 0.0}, r"valid_time .*, no steady state converged"),
+], ids=["other-sizes", "no-steady-state"])
+def test_report_headline_holds_for_every_valid_config(doc, headline, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["run", write_config(tmp_path, doc), "--out", out, "--quiet"]) == 0
+    assert main(["report", out]) == 0
+    assert re.fullmatch(headline, capsys.readouterr().out.splitlines()[1])
 
 
 def test_run_forecast_summary_is_finite_and_complete(tmp_path):
@@ -407,15 +440,16 @@ def test_main_reports_only_numerical_errors_as_numerical_failure(tmp_path, capsy
                                                                  monkeypatch):
     config = write_config(tmp_path, {"task": "complexity"})
     out = str(tmp_path / "out")
-    monkeypatch.setitem(ngrc.cli._EXPERIMENTS, "complexity",
-                        (_runner_raising(IntegrationError("step size underflow")), None, None))
+    complexity = TASKS["complexity"]
+    monkeypatch.setitem(TASKS, "complexity", dataclasses.replace(
+        complexity, runner=_runner_raising(IntegrationError("step size underflow"))))
     assert main(["run", config, "--out", out, "--quiet"]) == 3
     assert "failing stage" in capsys.readouterr().err
 
     # a programming error is not a numerical failure: it propagates as is
     for error in (TypeError("bad call"), KeyError("missing")):
-        monkeypatch.setitem(ngrc.cli._EXPERIMENTS, "complexity",
-                            (_runner_raising(error), None, None))
+        monkeypatch.setitem(TASKS, "complexity",
+                            dataclasses.replace(complexity, runner=_runner_raising(error)))
         with pytest.raises(type(error)):
             main(["run", config, "--out", out, "--quiet"])
 
@@ -512,7 +546,7 @@ def test_validate_rejects_exactly_what_the_library_rejects(tmp_path):
     cases = 0
     for key, (task, build) in _LIBRARY_KEYS.items():
         for value in _BAD_VALUES:
-            if not ngrc.cli._has_type(value, TASK_DEFAULTS[task][key]):
+            if not ngrc.cli._has_type(value, TASKS[task].defaults[key]):
                 continue  # a JSON type error, which only the CLI can see
             try:
                 build(value)
