@@ -795,10 +795,10 @@ def run_experiment(config: ExperimentConfig) -> dict:
     return summary
 
 
-def _print_report(summary: dict) -> None:
+def _print_report(summary: dict, headline: str) -> None:
     """The task, its headline, then the summary's scalar entries."""
     print(f"task: {summary['task']}")
-    print(TASKS[summary["task"]].headline(summary))
+    print(headline)
     for key, value in summary.items():
         # numbers (booleans among them), strings and null
         if key != "task" and (value is None or isinstance(value, (int, float, str))):
@@ -840,7 +840,13 @@ def main(argv=None) -> int:
         if not isinstance(task, str) or task not in TASKS:
             print(f"error: {summary_path} holds no run summary", file=sys.stderr)
             return 2
-        _print_report(summary)
+        try:
+            headline = TASKS[task].headline(summary)
+        except KeyError as exc:  # a key that the task's runner writes is missing
+            print(f"error: {summary_path} holds no run summary of {task}: no key {exc}",
+                  file=sys.stderr)
+            return 2
+        _print_report(summary, headline)
         return 0
 
     overrides = {}
@@ -864,7 +870,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if not args.quiet:
-        _print_report(summary)
+        _print_report(summary, TASKS[config.task].headline(summary))
         print(f"outputs written to {config.out_dir}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from math import inf
 
 import numpy as np
@@ -208,12 +208,7 @@ def to_document(model: NgrcModel) -> dict:
     return {
         "format_version": SERIAL_FORMAT_VERSION,
         "mode": model.mode.value,
-        "d": model.spec.d,
-        "k": model.spec.k,
-        "s": model.spec.s,
-        "degrees": list(model.spec.degrees),
-        "include_constant": model.spec.include_constant,
-        "constant_value": model.spec.constant_value,
+        **asdict(model.spec),
         "input_indices": list(model.input_indices),
         "output_dim": model.output_dim,
         "alpha": model.readout.alpha,

@@ -1,11 +1,13 @@
-"""Shared fixtures: canonical task data built once per session.
-
-The forecast fixtures mirror configs/forecast-lorenz.json and
-configs/forecast-doublescroll.json so that benchmark-level tests exercise
-exactly the shipped setups.
+"""Shared fixtures: each canonical run, made once per session for the
+byte-identity and acceptance tests, and segment 0 of the forecast tasks,
+built from the same config, system and ground truth as their canonical run.
 """
 
+import json
+import time
+import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,13 +19,13 @@ from ngrc import (
     ScalingVector,
     SystemDef,
     TimeSeries,
-    double_scroll,
     forecast,
     integrate,
     lorenz63,
     on_attractor_state,
     train_forecaster,
 )
+from ngrc import cli
 from ngrc.systems import IntegrationConfig
 
 settings.register_profile(
@@ -32,15 +34,46 @@ settings.register_profile(
 )
 settings.load_profile("repo")
 
-# Data-generation accuracy of the benchmark pipeline. The sampling error of
-# a default-tolerance adaptive run acts as jitter that the published
-# regularization level is tuned to; tightening it destabilizes the closed
-# loop at the same alpha.
-PIPELINE_RTOL = 1e-3
-PIPELINE_ATOL = 1e-6
+ROOT = Path(__file__).resolve().parent.parent
 
-TRAIN_POINTS = 400
-N_SEGMENTS = 10
+
+@dataclass(frozen=True)
+class CanonicalRun:
+    out: Path  # the run's output directory
+    summary: dict
+    wall_s: float  # the whole `ngrc run`, validation and writing included
+
+
+# Every canonical run made in this session, by task, in the order made.
+_CANONICAL_RUNS: dict[str, CanonicalRun] = {}
+
+
+@pytest.fixture(scope="session")
+def canonical_run(tmp_path_factory):
+    """``canonical_run(task)``: configs/<task>.json run once, with every warning an error."""
+    def run(task: str) -> CanonicalRun:
+        if task not in _CANONICAL_RUNS:
+            out = tmp_path_factory.mktemp("canonical") / task
+            argv = ["run", str(ROOT / "configs" / f"{task}.json"), "--out", str(out), "--quiet"]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                start = time.perf_counter()
+                code = cli.main(argv)
+                wall_s = time.perf_counter() - start
+            assert code == 0, f"ngrc {' '.join(argv)} exited {code}"
+            summary = json.loads((out / "summary.json").read_text())
+            _CANONICAL_RUNS[task] = CanonicalRun(out, summary, wall_s)
+        return _CANONICAL_RUNS[task]
+    return run
+
+
+def pytest_terminal_summary(terminalreporter):
+    if _CANONICAL_RUNS:
+        terminalreporter.section("canonical runs")
+        for task, run in _CANONICAL_RUNS.items():
+            terminalreporter.write_line(f"{task}: {run.wall_s:.2f} s")
+        total = sum(run.wall_s for run in _CANONICAL_RUNS.values())
+        terminalreporter.write_line(f"{len(_CANONICAL_RUNS)} runs: {total:.2f} s")
 
 
 @dataclass
@@ -48,48 +81,37 @@ class ForecastTask:
     system: SystemDef
     spec: FeatureSpec
     alpha: float
-    mother: TimeSeries
+    mother: TimeSeries  # the task's ground truth
     scaling: ScalingVector
-    train: TimeSeries
-    model: NgrcModel
-    predicted: TimeSeries
+    train: TimeSeries  # segment 0's training window
+    model: NgrcModel  # segment 0's model, the canonical one
+    predicted: TimeSeries  # its whole rollout, the return map's window included
     n_test: int
 
-    def segment_model(self, j: int) -> NgrcModel:
-        seg = self.mother.segment(j * TRAIN_POINTS, (j + 1) * TRAIN_POINTS)
-        return train_forecaster(seg, self.spec, self.alpha)
 
-
-def _build_forecast_task(system, dt, transient, spec, alpha, n_forecast):
-    n_test = int(round(10.0 * system.lyapunov_time / dt))
-    n_mother = max(TRAIN_POINTS + max(n_test, n_forecast),
-                   N_SEGMENTS * TRAIN_POINTS + n_test) + 1
-    x0 = on_attractor_state(system, transient, rtol=PIPELINE_RTOL, atol=PIPELINE_ATOL)
-    mother = integrate(system, IntegrationConfig(
-        dt=dt, t_span=(0.0, (n_mother - 1) * dt), initial_state=x0,
-        rtol=PIPELINE_RTOL, atol=PIPELINE_ATOL))
-    train = mother.segment(0, TRAIN_POINTS)
-    model = train_forecaster(train, spec, alpha)
-    predicted = forecast(model, train, max(n_test, n_forecast))
+def _forecast_task(task: str) -> ForecastTask:
+    config = cli.resolve_config({"task": task})
+    system = cli.TASKS[task].system()
+    mother = cli._ground_truth(config, system)
+    n_test, _, n_forecast = cli._forecast_steps(config, system)
+    spec = config.feature_spec(system.dim)
+    train = mother.segment(0, config["train_points"])
+    model = train_forecaster(train, spec, config["alpha"])
     return ForecastTask(
-        system=system, spec=spec, alpha=alpha, mother=mother,
+        system=system, spec=spec, alpha=config["alpha"], mother=mother,
         scaling=ScalingVector.from_series(mother), train=train, model=model,
-        predicted=predicted, n_test=n_test,
+        predicted=forecast(model, train, n_forecast), n_test=n_test,
     )
 
 
 @pytest.fixture(scope="session")
 def lorenz_task() -> ForecastTask:
-    spec = FeatureSpec(d=3, k=2, s=1, degrees=(2,), include_constant=True)
-    return _build_forecast_task(lorenz63(), dt=0.025, transient=25.0,
-                                spec=spec, alpha=2.5e-6, n_forecast=40000)
+    return _forecast_task("forecast-lorenz")
 
 
 @pytest.fixture(scope="session")
 def ds_task() -> ForecastTask:
-    spec = FeatureSpec(d=3, k=2, s=1, degrees=(3,), include_constant=False)
-    return _build_forecast_task(double_scroll(), dt=0.25, transient=100.0,
-                                spec=spec, alpha=2.5e-6, n_forecast=0)
+    return _forecast_task("forecast-doublescroll")
 
 
 @pytest.fixture(scope="session")

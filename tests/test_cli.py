@@ -240,12 +240,10 @@ def test_main_run_complexity_writes_artifacts(tmp_path, capsys):
 @pytest.mark.filterwarnings("error")  # a new overflow on the way fails here
 @pytest.mark.parametrize("task", ["forecast-lorenz", "forecast-doublescroll", "baseline-rc",
                                   "sweep-trainsize", "noise-lorenz", "infer-lorenz"])
-def test_canonical_runs_reproduce_tracked_outputs_byte_for_byte(task, tmp_path):
+def test_canonical_runs_reproduce_tracked_outputs_byte_for_byte(task, canonical_run):
     # every canonical task but complexity, which
     # test_main_run_complexity_writes_artifacts pins
-    assert main(["run", str(ROOT / "configs" / f"{task}.json"), "--out", str(tmp_path),
-                 "--quiet"]) == 0
-    assert_matches_tracked_run(task, tmp_path)
+    assert_matches_tracked_run(task, canonical_run(task).out)
 
 
 def assert_matches_tracked_run(task, out):
@@ -350,9 +348,13 @@ def test_main_report_subcommand(tmp_path, capsys):
 
     assert main(["report", str(tmp_path / "never-ran")]) == 2
     assert "summary.json" in capsys.readouterr().err
-    # a summary names a known task; a list as the task would not even hash
-    for i, contents in enumerate(["{truncated", "[1, 2]", None, "{}", '{"task": "nope"}',
-                                  '{"task": ["complexity"]}']):
+    # a summary names a known task, a list as the task would not even hash,
+    # and it holds every key that the task's headline reads
+    for i, (contents, missing) in enumerate([
+            ("{truncated", ""), ("[1, 2]", ""), (None, ""), ("{}", ""),
+            ('{"task": "nope"}', ""), ('{"task": ["complexity"]}', ""),
+            ('{"task": "complexity"}', "'tables'"), ('{"task": "forecast-lorenz"}', "'uss'"),
+            ('{"task": "sweep-trainsize", "sizes": [100]}', "'mean_nrmse'")]):
         broken = tmp_path / f"broken{i}"
         if contents is None:
             (broken / "summary.json").mkdir(parents=True)
@@ -360,7 +362,8 @@ def test_main_report_subcommand(tmp_path, capsys):
             broken.mkdir()
             (broken / "summary.json").write_text(contents)
         assert main(["report", str(broken)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and missing in err
 
 
 @pytest.mark.parametrize("task", TASKS)
