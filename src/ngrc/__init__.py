@@ -70,6 +70,7 @@ from .verify import (
     instantaneous_nrmse,
     nrmse,
     return_map_deviation,
+    training_nrmse,
     uss_report,
     valid_time,
 )
@@ -128,6 +129,7 @@ __all__ = [
     "train_inferrer",
     "training_cost_ngrc",
     "training_cost_rc",
+    "training_nrmse",
     "uss_report",
     "valid_time",
 ]

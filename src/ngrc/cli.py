@@ -17,7 +17,7 @@ import math
 import sys
 from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -281,7 +281,7 @@ def validate_config(path, overrides: dict | None = None) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError([f"config: cannot read {path}: {exc}"]) from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # undecodable bytes, bad syntax, an integer too long to read
         raise ConfigError([f"config: {path} is not valid JSON: {exc}"]) from exc
     if overrides and isinstance(raw, dict):
         raw = {**raw, **overrides}
@@ -347,6 +347,13 @@ def _ranked_readout(model: NgrcModel, components: tuple[str, ...]) -> list[dict]
     return entries
 
 
+def _scored(model: NgrcModel, train: TimeSeries) -> NgrcModel:
+    """The model with its training NRMSE first in its metadata, for the runs that
+    report or save it; the trainers only fit."""
+    return replace(model, metadata={"train_nrmse": verify.training_nrmse(model, train),
+                                    **model.metadata})
+
+
 def _horizon_steps(config: ExperimentConfig, system: SystemDef, key: str) -> int:
     return max(1, _sample_count(config[key] * system.lyapunov_time, config["dt"]))
 
@@ -381,6 +388,7 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
     pred_test = predicted.segment(0, n_test)
 
     with _stage("verify"):
+        model = _scored(model, train)
         test_nrmse = verify.nrmse(pred_test.segment(0, n_nrmse),
                                   truth_test.segment(0, n_nrmse), scaling)
         uss_doc = []
@@ -460,7 +468,7 @@ def _run_infer(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
 
     with _stage("train"):
         train = truth.segment(0, train_points)
-        model = train_inferrer(train, observed, target, spec, config["alpha"])
+        model = _scored(train_inferrer(train, observed, target, spec, config["alpha"]), train)
 
     with _stage("infer"):
         test = truth.segment(train_points, train_points + test_points)
@@ -561,7 +569,7 @@ def _run_noise(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
                 noisy.to_csv(out / "train_noisy.csv")
                 truth_after.to_csv(out / "truth_noise_free.csv")
                 pred.to_csv(out / "forecast.csv")
-                save_model(rep_model, out / "model.json")
+                save_model(_scored(rep_model, noisy), out / "model.json")
 
     return {
         "alpha": config["alpha"],
@@ -833,7 +841,7 @@ def main(argv=None) -> int:
         try:
             with open(summary_path, encoding="utf-8") as fh:
                 summary = json.load(fh)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             print(f"error: cannot read {summary_path}: {exc}", file=sys.stderr)
             return 2
         task = summary.get("task") if isinstance(summary, dict) else None
@@ -842,8 +850,10 @@ def main(argv=None) -> int:
             return 2
         try:
             headline = TASKS[task].headline(summary)
-        except KeyError as exc:  # a key that the task's runner writes is missing
-            print(f"error: {summary_path} holds no run summary of {task}: no key {exc}",
+        # a key that the task's runner writes is missing, or holds the wrong JSON type
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            problem = f"no key {exc}" if isinstance(exc, KeyError) else str(exc)
+            print(f"error: {summary_path} holds no run summary of {task}: {problem}",
                   file=sys.stderr)
             return 2
         _print_report(summary, headline)

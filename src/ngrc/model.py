@@ -85,26 +85,21 @@ def train_forecaster(series: TimeSeries, spec: FeatureSpec, alpha: float) -> Ngr
 
     Feature columns are built at every index past warm-up that still has a
     successor; the matching target is the one-step difference
-    X_{i+1} - X_i. Training NRMSE (per-component std scaling over the
-    training series) is recorded in the model metadata.
+    X_{i+1} - X_i. The model metadata records the number of training
+    samples. Training only fits: :func:`ngrc.verify.training_nrmse` scores
+    the fit on the same series.
     """
     idx = _training_indices(spec, series.n_samples, need_target=True)
     feats = feature_block(series, spec, idx)
-    targets = (series.values[idx + 1] - series.values[idx]).T
+    steps = series.values[idx[0]:]  # samples idx[0], ..., idx[-1] + 1, the last one
+    targets = (steps[1:] - steps[:-1]).T
     readout = ridge_fit(TrainingBlock(feats, targets), alpha)
-
-    predicted = series.values[idx] + (readout.weights @ feats).T
-    scale = series.values.std(axis=0)
-    scale[scale == 0] = 1.0
-    err = (predicted - series.values[idx + 1]) / scale
-    train_nrmse = float(np.sqrt(np.mean(err**2)))
-
     return NgrcModel(
         spec=spec,
         readout=readout,
         mode=Mode.FORECAST_DELTA,
         input_indices=tuple(range(spec.d)),
-        metadata={"train_nrmse": train_nrmse, "train_samples": int(len(idx))},
+        metadata={"train_samples": int(len(idx))},
     )
 
 
@@ -119,8 +114,9 @@ def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
     The feature buffers (``feature_writer``) are set up once per call. Each
     step copies its delay window, a strided view of the buffer, into the
     linear block, forms the features as ``total_features`` forms them and
-    adds ``weights @ features`` to the newest sample, so the rollout equals,
-    bit for bit, one ``total_features`` call per step.
+    adds ``weights.dot(features)`` (the product ``weights @ features``,
+    without the operator's dispatch) to the newest sample, so the rollout
+    equals, bit for bit, one ``total_features`` call per step.
     """
     spec = model.spec
     reject(model.mode is not Mode.FORECAST_DELTA
@@ -145,7 +141,7 @@ def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(n_steps):
             lin[...] = buf[i:i + depth:spec.s][::-1]
-            buf[depth + i] = buf[depth + i - 1] + weights @ features()
+            buf[depth + i] = buf[depth + i - 1] + weights.dot(features())
     return TimeSeries(dt=warmup.dt, values=buf[depth:], t0=warmup.t0 + warmup.n_samples * warmup.dt)
 
 
@@ -155,7 +151,9 @@ def train_inferrer(series: TimeSeries, observed, target: int, spec: FeatureSpec,
 
     Features are built from the observed component columns only; the target
     is the hidden component at the same index (no difference form, the
-    constant feature absorbs any offset).
+    constant feature absorbs any offset). The model metadata records the
+    target index and the number of training samples;
+    :func:`ngrc.verify.training_nrmse` scores the fit.
     """
     observed = tuple(observed)
     reject(integers("observed", observed, -inf), integer("target", target, -inf))
@@ -169,18 +167,12 @@ def train_inferrer(series: TimeSeries, observed, target: int, spec: FeatureSpec,
     feats = feature_block(obs_series, spec, idx)
     targets = series.values[idx, target][None, :]
     readout = ridge_fit(TrainingBlock(feats, targets), alpha)
-
-    predicted = readout.weights @ feats
-    scale = float(series.values[:, target].std()) or 1.0
-    train_nrmse = float(np.sqrt(np.mean(((predicted - targets) / scale) ** 2)))
-
     return NgrcModel(
         spec=spec,
         readout=readout,
         mode=Mode.INFERENCE_DIRECT,
         input_indices=observed,
-        metadata={"train_nrmse": train_nrmse, "target_index": target,
-                  "train_samples": int(len(idx))},
+        metadata={"target_index": target, "train_samples": int(len(idx))},
     )
 
 

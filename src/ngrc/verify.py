@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import entries, reject
-from .features import total_features
-from .model import Mode, NgrcModel
+from .features import feature_block, total_features
+from .model import Mode, NgrcModel, _training_indices, infer
 from .timeseries import TimeSeries
 
 
@@ -89,6 +89,31 @@ def nrmse(predicted: TimeSeries, truth: TimeSeries, scaling: ScalingVector) -> f
     with np.errstate(over="ignore", invalid="ignore"):
         err = (predicted.values - truth.values) / scaling.values
         return float(np.sqrt(np.mean(err**2)))
+
+
+def training_nrmse(model: NgrcModel, series: TimeSeries) -> float:
+    """:func:`nrmse` of a model's fit on the series it was trained on.
+
+    Rebuilds the fit at the indices its trainer used: a forecaster's one-step
+    prediction X_i + W f_i against X_{i+1}, or an inferrer's output W f_i
+    against its target component (the ``target_index`` of its metadata).
+    Each scored component is scaled by its std over the series, and a
+    constant component by 1.
+    """
+    if model.mode is Mode.FORECAST_DELTA:
+        idx = _training_indices(model.spec, series.n_samples, need_target=True)
+        feats = feature_block(series, model.spec, idx)
+        predicted = TimeSeries(series.dt, series.values[idx[0]:-1]
+                               + (model.readout.weights @ feats).T)
+        scored = series
+        first = idx[0] + 1
+    else:
+        predicted = infer(model, series)
+        scored = series.select([model.metadata["target_index"]])
+        first = model.spec.warmup_index
+    scale = scored.values.std(axis=0)
+    scale[scale == 0] = 1.0
+    return nrmse(predicted, scored.segment(first, series.n_samples), ScalingVector(scale))
 
 
 def instantaneous_nrmse(predicted: TimeSeries, truth: TimeSeries,

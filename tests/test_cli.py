@@ -198,7 +198,11 @@ def test_validate_config_file_errors(tmp_path, capsys):
     latin1.write_bytes(b'{"task": "complexity", "out_dir": "caf\xe9"}')
     with pytest.raises(ConfigError, match="not valid JSON"):
         validate_config(latin1)
-    for path in (tmp_path / "missing.json", bad, latin1, tmp_path):
+    too_long = tmp_path / "too-long.json"  # more digits than Python reads as an int
+    too_long.write_text('{"task": "complexity", "seed": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match="not valid JSON"):
+        validate_config(too_long)
+    for path in (tmp_path / "missing.json", bad, latin1, too_long, tmp_path):
         assert main(["validate", str(path)]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
 
@@ -354,7 +358,15 @@ def test_main_report_subcommand(tmp_path, capsys):
             ("{truncated", ""), ("[1, 2]", ""), (None, ""), ("{}", ""),
             ('{"task": "nope"}', ""), ('{"task": ["complexity"]}', ""),
             ('{"task": "complexity"}', "'tables'"), ('{"task": "forecast-lorenz"}', "'uss'"),
-            ('{"task": "sweep-trainsize", "sizes": [100]}', "'mean_nrmse'")]):
+            ('{"task": "sweep-trainsize", "sizes": [100]}', "'mean_nrmse'"),
+            # every key present, of the wrong JSON type
+            ('{"task": "sweep-trainsize", "sizes": 5}', "not iterable"),
+            ('{"task": "forecast-lorenz", "uss": 5}', "not iterable"),
+            ('{"task": "complexity", "tables": []}', "index out of range"),
+            ('{"task": "noise-lorenz", "scaled_rmse_median": "low", "repeats": 10}', "format"),
+            ('{"task": "noise-lorenz", "scaled_rmse_median": 1%s, "repeats": 10}' % ("0" * 400),
+             "too large"),
+            ('{"task": "complexity", "tables": 1%s}' % ("0" * 5000), "cannot read")]):
         broken = tmp_path / f"broken{i}"
         if contents is None:
             (broken / "summary.json").mkdir(parents=True)
@@ -363,7 +375,7 @@ def test_main_report_subcommand(tmp_path, capsys):
             (broken / "summary.json").write_text(contents)
         assert main(["report", str(broken)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and missing in err
+        assert err.startswith("error: ") and missing in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("task", TASKS)

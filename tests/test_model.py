@@ -21,6 +21,7 @@ from ngrc import (
     total_features,
     train_forecaster,
     train_inferrer,
+    training_nrmse,
 )
 
 
@@ -85,14 +86,14 @@ def test_constant_series_trains_to_zero_readout():
     model = train_forecaster(series, spec, alpha=1e-6)
     # all one-step differences vanish, so the minimizer is the zero matrix
     assert np.abs(model.readout.weights).max() < 1e-12
-    assert model.metadata["train_nrmse"] == 0.0
+    assert training_nrmse(model, series) == 0.0
 
 
 def test_train_forecaster_metadata_counts(lorenz_task):
     model = lorenz_task.model
     assert model.metadata["train_samples"] == (
         lorenz_task.train.n_samples - lorenz_task.spec.warmup_index - 1)
-    assert 0.0 < model.metadata["train_nrmse"] < 1e-3
+    assert 0.0 < training_nrmse(model, lorenz_task.train) < 1e-3
     assert model.mode is Mode.FORECAST_DELTA
 
 

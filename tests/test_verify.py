@@ -20,12 +20,18 @@ from ngrc import (
     double_scroll,
     estimate_model_uss,
     extract_return_map,
+    feature_block,
+    from_document,
     instantaneous_nrmse,
     lorenz63,
     lorenz_uss,
     nrmse,
     return_map_deviation,
     solve_double_scroll_uss,
+    to_document,
+    train_forecaster,
+    train_inferrer,
+    training_nrmse,
     uss_report,
     valid_time,
 )
@@ -82,6 +88,74 @@ def test_nrmse_propagates_nonfinite_instead_of_raising():
     bad = TimeSeries(dt=1.0, values=np.array([[0.0], [np.inf], [np.nan]]))
     scaling = ScalingVector(np.ones(1))
     assert not np.isfinite(nrmse(bad, truth, scaling))
+
+
+def forecaster_fit_nrmse(model, series):
+    """The training NRMSE that train_forecaster used to compute on every fit."""
+    idx = np.arange(model.spec.warmup_index, series.n_samples - 1)
+    feats = feature_block(series, model.spec, idx)
+    predicted = series.values[idx] + (model.readout.weights @ feats).T
+    scale = series.values.std(axis=0)
+    scale[scale == 0] = 1.0
+    err = (predicted - series.values[idx + 1]) / scale
+    return float(np.sqrt(np.mean(err**2)))
+
+
+def inferrer_fit_nrmse(model, series):
+    """The training NRMSE that train_inferrer used to compute on every fit."""
+    target = model.metadata["target_index"]
+    idx = np.arange(model.spec.warmup_index, series.n_samples)
+    feats = feature_block(series.select(model.input_indices), model.spec, idx)
+    targets = series.values[idx, target][None, :]
+    predicted = model.readout.weights @ feats
+    scale = float(series.values[:, target].std()) or 1.0
+    return float(np.sqrt(np.mean(((predicted - targets) / scale) ** 2)))
+
+
+def with_constant_component(series, value=2.5):
+    return TimeSeries(series.dt, np.column_stack([series.values, np.full(series.n_samples, value)]))
+
+
+def test_training_nrmse_equals_the_trainers_former_formula_bit_for_bit(lorenz_task):
+    mother, alpha = lorenz_task.mother, lorenz_task.alpha
+    spec = lorenz_task.spec
+    constant_spec = FeatureSpec(d=4, k=2, s=1, degrees=(2,), include_constant=True)
+    checked = 0
+    for size, step in ((100, 131), (400, 257), (1000, 1013)):
+        for start in range(0, mother.n_samples - size, step):
+            train = mother.segment(start, start + size)
+            model = train_forecaster(train, spec, alpha)
+            assert training_nrmse(model, train) == forecaster_fit_nrmse(model, train)
+            checked += 1
+            if start % 4 == 0:  # one component that never moves, so its std is 0
+                train = with_constant_component(train)
+                model = train_forecaster(train, constant_spec, alpha)
+                assert training_nrmse(model, train) == forecaster_fit_nrmse(model, train)
+                checked += 1
+    assert checked > 400
+
+    infer_spec = FeatureSpec(d=2, k=4, s=5, degrees=(2,), include_constant=True)
+    checked = 0
+    for start in range(0, mother.n_samples - 400, 401):
+        train = mother.segment(start, start + 400)
+        for observed, target in (((0, 1), 2), ((2, 0), 1)):
+            model = train_inferrer(train, observed, target, infer_spec, alpha)
+            assert training_nrmse(model, train) == inferrer_fit_nrmse(model, train)
+            checked += 1
+        # a constant target scales by 1
+        train = with_constant_component(train)
+        model = train_inferrer(train, (0, 1), 3, infer_spec, alpha)
+        assert training_nrmse(model, train) == inferrer_fit_nrmse(model, train)
+        checked += 1
+    assert checked > 200
+
+
+def test_training_nrmse_of_a_reloaded_model_and_of_short_series(lorenz_task):
+    model, train = lorenz_task.model, lorenz_task.train
+    assert "train_nrmse" not in model.metadata  # the trainers only fit
+    assert training_nrmse(from_document(to_document(model)), train) == training_nrmse(model, train)
+    with pytest.raises(ValueError, match="series too short"):
+        training_nrmse(model, train.segment(0, model.spec.warmup_index + 1))
 
 
 def test_instantaneous_nrmse_per_sample():
