@@ -221,6 +221,9 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
 
     config = ExperimentConfig(task=task, seed=settings.pop("seed"),
                               out_dir=settings.pop("out_dir"), settings=settings)
+    out = Path(config.out_dir)
+    if out.exists() and not out.is_dir():
+        errors.append(f"out_dir: {config.out_dir} exists and is not a directory")
     if record.system is not None:
         system = record.system()
         # the model sees the observed components only
@@ -777,12 +780,16 @@ def run_experiment(config: ExperimentConfig) -> dict:
     """Execute one experiment, write its outputs and return its summary.
 
     Writes summary.json, resolved-config.json and the task's CSVs into the
-    config's output directory. Raises NumericalFailure when a numerical
-    stage fails. A task with a system gets its ground truth and the scaling
-    by that truth's spread from here; the runner adds only its own keys.
+    config's output directory. Raises ConfigError when that directory
+    cannot be created and NumericalFailure when a numerical stage fails. A
+    task with a system gets its ground truth and the scaling by that
+    truth's spread from here; the runner adds only its own keys.
     """
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError([f"cannot create {out}: {exc.strerror or exc}"]) from exc
     task = TASKS[config.task]
     summary = {"task": config.task}
     if task.system is None:
@@ -879,6 +886,9 @@ def main(argv=None) -> int:
     except (NumericalFailure, *_NUMERICAL_ERRORS) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ConfigError as exc:  # the output directory cannot be created
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not args.quiet:
         _print_report(summary, TASKS[config.task].headline(summary))
         print(f"outputs written to {config.out_dir}")

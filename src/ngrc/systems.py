@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -52,19 +52,21 @@ class IntegrationError(RuntimeError):
 class SystemDef:
     """A named autonomous ODE vector field and what the tasks need to know of it.
 
-    ``rhs`` maps a state to its slope. ``integrate`` calls it with a list of
-    floats and accepts a list or an array back; ``integrate_noisy`` calls it
-    with a (dim, paths) array of states as columns. ``components`` names the
-    state components, ``start`` is the fixed off-attractor point that
-    ``on_attractor_state`` runs its transient from, ``steady_states()``
-    gives the true steady states, and the maxima of component
-    ``return_map_component`` form the return map.
+    ``rhs`` takes a sequence of ``dim`` components and returns the list of
+    their ``dim`` slopes, each of the same kind as the components: floats
+    for the list of floats that ``integrate`` passes, numpy scalars for the
+    vector that scipy passes, and rows of paths for the (dim, paths) array
+    of ``integrate_noisy``. ``components`` names the state components,
+    ``start`` is the fixed off-attractor point that ``on_attractor_state``
+    runs its transient from, ``steady_states()`` gives the true steady
+    states, and the maxima of component ``return_map_component`` form the
+    return map.
     """
 
     name: str
     components: tuple[str, ...]
     lyapunov_time: float
-    rhs: Callable[[list[float] | np.ndarray], list[float] | np.ndarray]
+    rhs: Callable[[Sequence], list]
     start: tuple[float, ...]
     steady_states: Callable[[], list[np.ndarray]]
     return_map_component: int
@@ -122,59 +124,44 @@ class IntegrationConfig:
 
 
 LORENZ_PARAMS = {"sigma": 10.0, "rho": 28.0, "beta": 8.0 / 3.0}
-_SIGMA, _RHO, _BETA = LORENZ_PARAMS["sigma"], LORENZ_PARAMS["rho"], LORENZ_PARAMS["beta"]
+_SIGMA, _RHO, _BETA = LORENZ_PARAMS.values()
 
 DOUBLE_SCROLL_PARAMS = {"r1": 1.2, "r2": 3.44, "r4": 0.193, "alpha": 11.6, "ir": 2.25e-5}
+_R1, _R2, _R4, _ALPHA, _IR = DOUBLE_SCROLL_PARAMS.values()
 
 
 def lorenz63_rhs(state):
     """Vector field of the three-variable Lorenz convection model.
 
-    ``state`` is a list of three floats, one state vector or a (3, paths)
-    array of states as columns. A list gives a list, which is what the
-    stepping loop of ``integrate`` passes and takes; an array gives an
-    array. A vector is unpacked into Python floats, which are cheaper to
-    combine than numpy scalars and round the same.
+    ``state`` is any sequence of the three components (see ``SystemDef``);
+    the slopes come back as a list of the same kind.
     """
-    as_list = isinstance(state, list)
-    x, y, z = state if as_list else state.tolist() if state.ndim == 1 else state
-    slope = [_SIGMA * (y - x), x * (_RHO - z) - y, x * y - _BETA * z]
-    return slope if as_list else np.array(slope)
+    x, y, z = state
+    return [_SIGMA * (y - x), x * (_RHO - z) - y, x * y - _BETA * z]
 
 
 def double_scroll_rhs(state):
     """Vector field of the dimensionless double-scroll chaotic circuit.
 
-    Takes and gives a list of floats, a state vector or a (3, paths) array,
-    as ``lorenz63_rhs`` does; ``np.sinh`` rounds the same in every form.
+    Takes and gives components as ``lorenz63_rhs`` does; the ``np.sinh``
+    term is a numpy float for float components.
     """
-    as_list = isinstance(state, list)
     v1, v2, i = state
-    p = DOUBLE_SCROLL_PARAMS
     dv = v1 - v2
-    sinh = np.sinh(p["alpha"] * dv)
-    sinh_term = 2.0 * p["ir"] * (float(sinh) if as_list else sinh)
-    slope = [v1 / p["r1"] - dv / p["r2"] - sinh_term, dv / p["r2"] + sinh_term - i,
-             v2 - p["r4"] * i]
-    return slope if as_list else np.array(slope)
+    sinh_term = 2.0 * _IR * np.sinh(_ALPHA * dv)
+    return [v1 / _R1 - dv / _R2 - sinh_term, dv / _R2 + sinh_term - i, v2 - _R4 * i]
 
 
 def lorenz_uss() -> list[np.ndarray]:
     """The three steady states of the Lorenz system, analytically."""
     r = np.sqrt(_BETA * (_RHO - 1.0))
-    return [
-        np.zeros(3),
-        np.array([r, r, _RHO - 1.0]),
-        np.array([-r, -r, _RHO - 1.0]),
-    ]
+    return [np.zeros(3), np.array([r, r, _RHO - 1.0]), np.array([-r, -r, _RHO - 1.0])]
 
 
 def double_scroll_uss_equation(v1: float) -> float:
     """Residual whose positive root gives the nonzero steady-state voltage."""
-    p = DOUBLE_SCROLL_PARAMS
-    return v1 / p["r2"] * (p["r1"] - p["r4"] - p["r2"]) + 2.0 * p["r1"] * p["ir"] * np.sinh(
-        p["alpha"] * (1.0 - p["r4"] / p["r1"]) * v1
-    )
+    return v1 / _R2 * (_R1 - _R4 - _R2) + 2.0 * _R1 * _IR * np.sinh(
+        _ALPHA * (1.0 - _R4 / _R1) * v1)
 
 
 def solve_double_scroll_uss() -> list[np.ndarray]:
@@ -186,7 +173,6 @@ def solve_double_scroll_uss() -> list[np.ndarray]:
     below 1e-12. The full states follow from the zero-derivative relations
     V2 = V1*R4/R1, I = V1/R1.
     """
-    p = DOUBLE_SCROLL_PARAMS
     lo, hi = 1e-6, 5.0
     f_lo, f_hi = double_scroll_uss_equation(lo), double_scroll_uss_equation(hi)
     if f_lo * f_hi >= 0:
@@ -200,7 +186,7 @@ def solve_double_scroll_uss() -> list[np.ndarray]:
     v1, residual = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
     if abs(residual) > 1e-12:
         raise RuntimeError(f"bisection stalled at residual {residual}")
-    state = np.array([v1, v1 * p["r4"] / p["r1"], v1 / p["r1"]])
+    state = np.array([v1, v1 * _R4 / _R1, v1 / _R1])
     return [np.zeros(3), state, -state]
 
 
@@ -465,6 +451,13 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
     return out
 
 
+def _state_size(system: SystemDef, config: IntegrationConfig):
+    """The problem with an initial state not of the system's dimension, if any."""
+    size = config.initial_state.size
+    return size != system.dim and (f"initial_state must have the {system.dim} components "
+                                   f"of {system.name}, got {size}")
+
+
 def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     """Deterministic trajectory sampled on the uniform dt grid.
 
@@ -472,8 +465,10 @@ def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     (rtol, atol). RK23 evaluates its dense output at the grid times; DOP853
     cuts a step short at each grid time, so its steps depend on the grid.
     Raises IntegrationError if the field is not finite at the start or the
-    step size collapses, and ValueError for a noisy config.
+    step size collapses, ConfigError for an initial state that is not of
+    the system's dimension, and ValueError for a noisy config.
     """
+    reject(_state_size(system, config))
     if config.noise_rms > 0:
         raise ValueError(f"integrate ignores noise_rms = {config.noise_rms}; "
                          "use integrate_noisy for a forced run")
@@ -504,9 +499,11 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
     interval at a time, which keeps memory flat in the run length.
 
     Raises IntegrationError, naming the first path and sample time, as soon
-    as a sample of any path is not finite.
+    as a sample of any path is not finite, and ConfigError for an initial
+    state that is not of the system's dimension.
     """
-    reject(config.seed is None and "integrate_noisy requires a seed for reproducibility",
+    reject(_state_size(system, config),
+           config.seed is None and "integrate_noisy requires a seed for reproducibility",
            integer("paths", paths, 1))
     grid = config.grid()
     h = config.dt / config.substeps
@@ -524,6 +521,7 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
         for m in range(1, len(grid)):
             forcing = np.stack([rng.normal(0.0, sigma, size=draws) for rng in rngs], axis=-1)
             for xi in forcing:
+                # adding the forcing stacks the field's rows into a (dim, paths) array
                 k1 = rhs(state) + xi
                 k2 = rhs(state + h * k1) + xi
                 state = state + 0.5 * h * (k1 + k2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import entries, reject
+from ._checks import entries, integer, number, reject
 from .features import feature_block, total_features
 from .model import Mode, NgrcModel, _training_indices, infer
 from .timeseries import TimeSeries
@@ -130,8 +130,11 @@ def valid_time(predicted: TimeSeries, truth: TimeSeries, scaling: ScalingVector,
     """Elapsed time before the scaled error first exceeds the threshold.
 
     Returned in Lyapunov units. If the error never exceeds the threshold
-    the full window length is returned.
+    the full window length is returned. The threshold must be nonnegative
+    and the Lyapunov time positive, both finite.
     """
+    reject(number("threshold", threshold, 0.0),
+           number("lyapunov_time", lyapunov_time, 0.0, open_low=True))
     errors = instantaneous_nrmse(predicted, truth, scaling)
     exceeded = np.nonzero(~(errors <= threshold))[0]  # NaN counts as exceeded
     if exceeded.size == 0:
@@ -225,6 +228,9 @@ def extract_return_map(series: TimeSeries, component: int) -> ReturnMap:
     a non-finite sample (a diverged run) are dropped. Pass a segment to map
     a shorter window.
     """
+    reject(integer("component", component, 0)
+           or (component >= series.n_components
+               and f"component must be < {series.n_components}, got {component}"))
     x = series.values[:, component]
     interior = np.nonzero((x[1:-1] > x[:-2]) & (x[1:-1] > x[2:]))[0] + 1
     # drop maxima too close to an end for the 5-point stencil

@@ -341,6 +341,27 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+def test_out_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
+    existing = tmp_path / "existing"
+    existing.write_text("not a directory")
+    config = write_config(tmp_path, {"task": "complexity", "out_dir": str(existing)})
+    message = f"config error: out_dir: {existing} exists and is not a directory"
+    for argv in (["validate", config], ["run", config],
+                 ["run", str(ROOT / "configs" / "complexity.json"), "--out", str(existing)]):
+        assert main(argv + ["--quiet"]) == 2
+        assert capsys.readouterr().err.strip() == message
+    assert existing.read_text() == "not a directory"
+
+
+def test_out_dir_that_cannot_be_created_is_reported_without_traceback(tmp_path, capsys):
+    config = str(ROOT / "configs" / "complexity.json")
+    below_a_file = tmp_path / "existing" / "out"
+    below_a_file.parent.write_text("not a directory")
+    assert main(["validate", config, "--quiet"]) == 0
+    assert main(["run", config, "--out", str(below_a_file), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: cannot create {below_a_file}: Not a directory\n"
+
+
 def test_main_report_subcommand(tmp_path, capsys):
     config = write_config(tmp_path, {"task": "complexity"})
     out = tmp_path / "out"

@@ -18,6 +18,7 @@ from ngrc import (
     on_attractor_state,
 )
 from ngrc import systems
+from ngrc._checks import ConfigError
 from ngrc.systems import DOUBLE_SCROLL_PARAMS, IntegrationConfig
 
 RUNS = Path(__file__).resolve().parent.parent / "runs"
@@ -55,24 +56,40 @@ def test_double_scroll_rhs_hand_values():
 def test_double_scroll_rhs_is_odd(state):
     system = double_scroll()
     state = np.array(state)
-    assert np.allclose(system.rhs(-state), -system.rhs(state),
+    assert np.allclose(system.rhs(-state), -np.asarray(system.rhs(state)),
                        rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("factory, spread", [(lorenz63, 40.0), (double_scroll, 3.0)])
 def test_rhs_gives_the_same_bits_for_lists_vectors_and_columns(factory, spread):
     # integrate steps on lists of floats; scipy passes 1-D arrays and
-    # integrate_noisy a (3, paths) array, so all three must round alike
+    # integrate_noisy a (3, paths) array, so all three must round alike.
+    # Every form gives the list of the components' slopes.
     rhs = factory().rhs
     states = np.random.default_rng(7).uniform(-spread, spread, size=(3, 1000))
     columns = rhs(states)
+    assert type(columns) is list and len(columns) == 3
+    columns = np.asarray(columns)
+    assert columns.shape == states.shape
     for j, state in enumerate(states.T):
         from_list = rhs(state.tolist())
-        assert type(from_list) is list
-        assert all(type(v) is float for v in from_list)
+        from_vector = rhs(state)
+        assert type(from_list) is list and type(from_vector) is list
+        assert all(isinstance(v, float) for v in from_list)
         expected = columns[:, j].tobytes()
-        assert np.array(from_list).tobytes() == expected
-        assert rhs(state).tobytes() == expected
+        assert np.asarray(from_list).tobytes() == expected
+        assert np.asarray(from_vector).tobytes() == expected
+
+
+@pytest.mark.parametrize("size", [2, 4])
+def test_integrators_reject_an_initial_state_of_the_wrong_dimension(size):
+    config = IntegrationConfig(dt=0.025, t_span=(0.0, 1.0), initial_state=np.ones(size),
+                               seed=0, noise_rms=1.0)
+    message = f"initial_state must have the 3 components of lorenz63, got {size}"
+    with pytest.raises(ConfigError, match=message):
+        integrate(lorenz63(), dataclasses.replace(config, noise_rms=0.0))
+    with pytest.raises(ConfigError, match=message):
+        integrate_noisy(lorenz63(), config)
 
 
 def test_system_registry():

@@ -35,6 +35,7 @@ from ngrc import (
     uss_report,
     valid_time,
 )
+from ngrc._checks import ConfigError
 from ngrc.systems import double_scroll_uss_equation
 from ngrc.verify import _DEVIATION_ROWS, learned_map_residual
 
@@ -198,6 +199,20 @@ def test_valid_time_treats_nan_as_crossed():
     predicted = TimeSeries(dt=0.2, values=values)
     vt = valid_time(predicted, truth, ScalingVector(np.ones(1)), 0.5, 1.0)
     assert vt == pytest.approx(4 * 0.2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_valid_time_rejects_bad_threshold_and_lyapunov_time():
+    truth = TimeSeries(dt=0.1, values=np.zeros((21, 1)))
+    predicted = TimeSeries(dt=0.1, values=np.full((21, 1), 0.01))
+    scaling = ScalingVector(np.ones(1))
+    for threshold in (np.nan, -0.5, np.inf):
+        with pytest.raises(ConfigError, match="threshold must be nonnegative and finite"):
+            valid_time(predicted, truth, scaling, threshold, 1.0)
+    for lyapunov_time in (0.0, -0.0, -1.1, np.nan, np.inf):
+        with pytest.raises(ConfigError, match="lyapunov_time must be positive and finite"):
+            valid_time(predicted, truth, scaling, 0.5, lyapunov_time)
+    assert valid_time(predicted, truth, scaling, 0.0, 1.0) == 0.0
 
 
 @given(st.lists(st.floats(0.01, 0.99), min_size=2, max_size=6))
@@ -388,6 +403,15 @@ def test_extract_return_map_needs_two_maxima():
     series = TimeSeries(dt=0.1, values=np.arange(50.0)[:, None])
     with pytest.raises(ReturnMapError, match="found 0 local maxima in 4.9 time units"):
         extract_return_map(series, component=0)
+
+
+def test_extract_return_map_checks_the_component_index():
+    t = np.arange(0.0, 10.0, 0.01)
+    series = TimeSeries(dt=0.01, values=np.stack([np.cos(2 * np.pi * t)] * 2, axis=1))
+    for component in (-1, 2, 0.5, True, np.nan):
+        with pytest.raises(ConfigError, match="component must be"):
+            extract_return_map(series, component)
+    assert extract_return_map(series, np.int64(1)).maxima.size == 9
 
 
 @pytest.mark.filterwarnings("error")
