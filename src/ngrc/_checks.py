@@ -18,6 +18,10 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.messages))
 
 
+class NumericalError(RuntimeError):
+    """A computation on accepted inputs failed; a rejected input is a ValueError."""
+
+
 def reject(*problems) -> None:
     """Raise a ConfigError with every problem that is not None or False."""
     if any(problems):

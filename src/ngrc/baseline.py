@@ -13,11 +13,11 @@ from math import ceil
 
 import numpy as np
 
-from ._checks import integer, number, one_of, reject
+from ._checks import NumericalError, integer, number, one_of, reject
 from .timeseries import TimeSeries
 
 
-class ReservoirError(RuntimeError):
+class ReservoirError(NumericalError):
     """Raised when a drawn adjacency cannot be scaled or a reservoir state overflows."""
 
 
@@ -96,11 +96,9 @@ def reservoir_run(reservoir: Reservoir, series: TimeSeries) -> np.ndarray:
     consuming sample j:  r <- (1 - gamma) r + gamma f(A r + W X + b).
     Raises ReservoirError, naming the first step, when a state is not finite.
     """
-    if series.n_components != reservoir.input_weights.shape[1]:
-        raise ValueError(
-            f"series has {series.n_components} components, reservoir expects "
-            f"{reservoir.input_weights.shape[1]}"
-        )
+    n_inputs = reservoir.input_weights.shape[1]
+    reject(series.n_components != n_inputs
+           and f"series has {series.n_components} components, reservoir expects {n_inputs}")
     f = np.tanh if reservoir.activation == "tanh" else (lambda v: v)
     gamma = reservoir.gamma
     states = np.empty((reservoir.n_nodes, series.n_samples))

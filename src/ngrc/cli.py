@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, verify
-from ._checks import ConfigError
+from ._checks import ConfigError, NumericalError
 from .features import FeatureSpec, feature_names
 from .model import (
     NgrcModel,
@@ -33,10 +33,9 @@ from .model import (
     train_forecaster,
     train_inferrer,
 )
-from .regression import ReadoutMatrix, SingularSystemError, TrainingBlock, ridge_fit
+from .regression import ReadoutMatrix, TrainingBlock, ridge_fit
 from .systems import (
     IntegrationConfig,
-    IntegrationError,
     SystemDef,
     double_scroll,
     integrate,
@@ -47,10 +46,6 @@ from .systems import (
 )
 from .timeseries import TimeSeries
 from .verify import ScalingVector
-
-
-class NumericalFailure(RuntimeError):
-    """A numerical stage of an experiment failed."""
 
 
 # Training-data integration accuracy is a load-bearing benchmark parameter:
@@ -163,7 +158,8 @@ def _library_errors(config: ExperimentConfig, system: SystemDef, d: int) -> list
         "degrees": lambda: config.feature_spec(d),
         "alpha": lambda: ReadoutMatrix(np.zeros((1, 1)), config["alpha"]),
         "transient_time": lambda: transient_config(system, config["transient_time"],
-                                                   config["rtol"], config["atol"], "RK23"),
+                                                   config["rtol"], config["atol"],
+                                                   TASKS[config.task].method),
         "dt": lambda: _integration_config(config, system.start, 2,
                                           noisy="noise_rms" in config.settings),
         "n_nodes": lambda: _reservoir_params(config),
@@ -173,8 +169,8 @@ def _library_errors(config: ExperimentConfig, system: SystemDef, d: int) -> list
         try:
             if key in config.settings:
                 build()
-        except ValueError as exc:
-            errors += [m for m in getattr(exc, "messages", [str(exc)]) if m not in errors]
+        except ConfigError as exc:
+            errors += [m for m in exc.messages if m not in errors]
     return errors
 
 
@@ -221,9 +217,11 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
 
     config = ExperimentConfig(task=task, seed=settings.pop("seed"),
                               out_dir=settings.pop("out_dir"), settings=settings)
+    # the nearest path of out_dir and its parents that exists must be a directory
     out = Path(config.out_dir)
-    if out.exists() and not out.is_dir():
-        errors.append(f"out_dir: {config.out_dir} exists and is not a directory")
+    existing = next((path for path in (out, *out.parents) if path.exists()), None)
+    if existing and not existing.is_dir():
+        errors.append(f"out_dir: {existing} exists and is not a directory")
     if record.system is not None:
         system = record.system()
         # the model sees the observed components only
@@ -271,7 +269,7 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     n_truth = record.truth_samples(config, system)
     try:
         _integration_config(config, system.start, n_truth)
-    except ValueError as exc:
+    except ConfigError as exc:
         raise ConfigError([f"dt: {n_truth} samples of dt={dt} must span a finite time "
                            f"({exc})"]) from exc
     return config
@@ -763,8 +761,7 @@ TASKS: dict[str, _Task] = {
 
 # What a run reports as a numerical failure (exit 3). Anything else, such as
 # a TypeError from a wrong call, propagates unchanged.
-_NUMERICAL_ERRORS = (IntegrationError, SingularSystemError, verify.ReturnMapError,
-                     baseline.ReservoirError, np.linalg.LinAlgError, FloatingPointError)
+_NUMERICAL_ERRORS = (NumericalError, np.linalg.LinAlgError, FloatingPointError)
 
 
 @contextmanager
@@ -773,7 +770,7 @@ def _stage(name: str):
     try:
         yield
     except _NUMERICAL_ERRORS as exc:
-        raise NumericalFailure(f"stage '{name}': {exc}") from exc
+        raise NumericalError(f"stage '{name}': {exc}") from exc
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
@@ -781,7 +778,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
 
     Writes summary.json, resolved-config.json and the task's CSVs into the
     config's output directory. Raises ConfigError when that directory
-    cannot be created and NumericalFailure when a numerical stage fails. A
+    cannot be created and NumericalError when a numerical stage fails. A
     task with a system gets its ground truth and the scaling by that
     truth's spread from here; the runner adds only its own keys.
     """
@@ -883,7 +880,7 @@ def main(argv=None) -> int:
 
     try:
         summary = run_experiment(config)
-    except (NumericalFailure, *_NUMERICAL_ERRORS) as exc:
+    except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ConfigError as exc:  # the output directory cannot be created

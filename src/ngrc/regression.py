@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import entries, number, reject
+from ._checks import NumericalError, entries, number, reject
 
 
-class SingularSystemError(RuntimeError):
+class SingularSystemError(NumericalError):
     """Raised when the normal-equation matrix is not numerically positive definite."""
 
 

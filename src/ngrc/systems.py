@@ -40,11 +40,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _dop853
-from ._checks import integer, number, one_of, reject
+from ._checks import NumericalError, integer, number, one_of, reject
 from .timeseries import TimeSeries
 
 
-class IntegrationError(RuntimeError):
+class IntegrationError(NumericalError):
     """Raised when the adaptive integrator fails to reach the end time."""
 
 
@@ -109,10 +109,11 @@ class IntegrationConfig:
                (state.ndim != 1 or not np.isfinite(state).all())
                and f"initial_state must be a finite 1-D vector, got {state}")
         steps = (t1 - t0) / self.dt
-        if not math.isfinite(steps):
-            raise ValueError(f"dt = {self.dt} divides t_span {self.t_span} into too many steps")
-        if not round(steps) >= 1:
-            raise ValueError(f"time span {self.t_span} holds no step of dt = {self.dt}")
+        # round() is reached only for a finite count
+        reject(not math.isfinite(steps)
+               and f"dt = {self.dt} divides t_span {self.t_span} into too many steps"
+               or not round(steps) >= 1
+               and f"time span {self.t_span} holds no step of dt = {self.dt}")
         object.__setattr__(self, "initial_state", state)
         object.__setattr__(self, "substeps", int(self.substeps))
 
@@ -176,7 +177,7 @@ def solve_double_scroll_uss() -> list[np.ndarray]:
     lo, hi = 1e-6, 5.0
     f_lo, f_hi = double_scroll_uss_equation(lo), double_scroll_uss_equation(hi)
     if f_lo * f_hi >= 0:
-        raise RuntimeError(f"no sign change on [{lo}, {hi}]: cannot bracket the root")
+        raise NumericalError(f"no sign change on [{lo}, {hi}]: cannot bracket the root")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         f_mid = double_scroll_uss_equation(mid)
         if (f_mid < 0) == (f_lo < 0):
@@ -185,7 +186,7 @@ def solve_double_scroll_uss() -> list[np.ndarray]:
             hi, f_hi = mid, f_mid
     v1, residual = (lo, f_lo) if abs(f_lo) <= abs(f_hi) else (hi, f_hi)
     if abs(residual) > 1e-12:
-        raise RuntimeError(f"bisection stalled at residual {residual}")
+        raise NumericalError(f"bisection stalled at residual {residual}")
     state = np.array([v1, v1 * _R4 / _R1, v1 / _R1])
     return [np.zeros(3), state, -state]
 
@@ -210,9 +211,9 @@ def double_scroll() -> SystemDef:
 _RK23_A = np.array([
     [0, 0, 0],
     [1/2, 0, 0],
-    [0, 3/4, 0]
+    [0, 3/4, 0],
+    [2/9, 1/3, 4/9]
 ])
-_RK23_B = np.array([2/9, 1/3, 4/9])
 _RK23_E = np.array([5/72, -1/12, -1/9, 1/8])
 _RK23_P = np.array([[1, -4 / 3, 5 / 9],
                     [0, 1, -2/3],
@@ -259,27 +260,25 @@ def _dop853_error_norm(KT: np.ndarray, h: float, scale: list[float]) -> float:
 class _RungeKuttaPair:
     """An embedded explicit Runge-Kutta pair and how it is sampled.
 
-    ``A`` holds the stage coefficients, one row per stage; row ``stages`` is
-    ``B``, whose stage is the slope at the new point. ``error_order`` is the
-    order of the error estimator. ``error_norm(K[:stages + 1].T, h, scale)``
-    decides acceptance. ``dense`` is the interpolant's coefficient matrix P:
-    at normalized time x in a step the state is y_old + h K.T P (x, x^2, ...).
-    A pair without one (``dense=None``) lands its steps on the grid times.
+    ``A`` holds the stage coefficients, one row per stage; its last row,
+    row ``stages = len(A) - 1``, is ``B``, whose stage is the slope at the
+    new point. ``error_order`` is the order of the error estimator.
+    ``error_norm(K[:stages + 1].T, h, scale)`` decides acceptance. ``dense``
+    is the interpolant's coefficient matrix P: at normalized time x in a step
+    the state is y_old + h K.T P (x, x^2, ...). A pair without one
+    (``dense=None``) lands its steps on the grid times.
     """
 
     name: str
     A: np.ndarray
-    B: np.ndarray
-    stages: int
     error_order: int
     error_norm: Callable[[np.ndarray, float, list[float]], float]
     dense: np.ndarray | None
 
 
 _PAIRS = {
-    "RK23": _RungeKuttaPair("RK23", _RK23_A, _RK23_B, 3, 2, _rk23_error_norm, _RK23_P),
-    "DOP853": _RungeKuttaPair("DOP853", _dop853.A, _dop853.B, _dop853.STAGES, 7,
-                              _dop853_error_norm, None),
+    "RK23": _RungeKuttaPair("RK23", _RK23_A, 2, _rk23_error_norm, _RK23_P),
+    "DOP853": _RungeKuttaPair("DOP853", _dop853.A, 7, _dop853_error_norm, None),
 }
 
 
@@ -380,7 +379,8 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
         raise IntegrationError(f"{pair.name}: the vector field is not finite at t = {t!r}")
     h_abs = _initial_step(rhs, y0, np.asarray(f), t_end - t, rtol, atol, pair.error_order)
     error_exponent = -1 / (pair.error_order + 1)
-    A, B, stages, P = pair.A, pair.B, pair.stages, pair.dense
+    A, P, stages = pair.A, pair.dense, len(pair.A) - 1
+    B = A[stages, :stages]
     # K holds the stages in rows, then the new slope; scipy combines them
     # through these views.
     K = np.empty((stages + 1, y0.size))
@@ -465,13 +465,12 @@ def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     (rtol, atol). RK23 evaluates its dense output at the grid times; DOP853
     cuts a step short at each grid time, so its steps depend on the grid.
     Raises IntegrationError if the field is not finite at the start or the
-    step size collapses, ConfigError for an initial state that is not of
-    the system's dimension, and ValueError for a noisy config.
+    step size collapses, and ConfigError for an initial state that is not of
+    the system's dimension or for a noisy config.
     """
-    reject(_state_size(system, config))
-    if config.noise_rms > 0:
-        raise ValueError(f"integrate ignores noise_rms = {config.noise_rms}; "
-                         "use integrate_noisy for a forced run")
+    reject(_state_size(system, config),
+           config.noise_rms > 0 and (f"integrate ignores noise_rms = {config.noise_rms}; "
+                                     "use integrate_noisy for a forced run"))
     grid = config.grid()
     values = _runge_kutta(_PAIRS[config.method], system.rhs, grid, config.initial_state,
                           config.rtol, config.atol)

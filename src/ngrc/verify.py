@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import entries, integer, number, reject
+from ._checks import NumericalError, entries, integer, number, reject
 from .features import feature_block, total_features
 from .model import Mode, NgrcModel, _training_indices, infer
 from .timeseries import TimeSeries
 
 
-class ReturnMapError(RuntimeError):
+class ReturnMapError(NumericalError):
     """Raised when a trajectory has too few local maxima to form a return map."""
 
 

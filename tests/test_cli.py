@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from ngrc import (
     IntegrationError,
     ReadoutMatrix,
     ReservoirParams,
+    SingularSystemError,
     TrainingBlock,
     double_scroll,
     estimate_cost,
@@ -34,6 +37,7 @@ from ngrc.cli import (
     resolve_config,
     validate_config,
 )
+from ngrc._checks import NumericalError
 from ngrc.systems import transient_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -353,13 +357,27 @@ def test_out_dir_that_is_a_file_is_a_config_error(tmp_path, capsys):
     assert existing.read_text() == "not a directory"
 
 
-def test_out_dir_that_cannot_be_created_is_reported_without_traceback(tmp_path, capsys):
-    config = str(ROOT / "configs" / "complexity.json")
-    below_a_file = tmp_path / "existing" / "out"
-    below_a_file.parent.write_text("not a directory")
-    assert main(["validate", config, "--quiet"]) == 0
-    assert main(["run", config, "--out", str(below_a_file), "--quiet"]) == 2
-    assert capsys.readouterr().err == f"error: cannot create {below_a_file}: Not a directory\n"
+def test_out_dir_that_cannot_be_created_is_reported_without_traceback(tmp_path, capsys,
+                                                                     monkeypatch):
+    existing = tmp_path / "existing"
+    existing.write_text("not a directory")
+    below_a_file = existing / "deeper" / "out"
+    config = write_config(tmp_path, {"task": "complexity", "out_dir": str(below_a_file)})
+    message = f"config error: out_dir: {existing} exists and is not a directory\n"
+    for argv in (["validate", config], ["run", config],
+                 ["run", str(ROOT / "configs" / "complexity.json"), "--out", str(below_a_file)]):
+        assert main(argv + ["--quiet"]) == 2
+        assert capsys.readouterr().err == message
+    assert existing.read_text() == "not a directory"
+
+    # a directory that validation cannot foresee failing
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    out = tmp_path / "out"
+    monkeypatch.setattr(Path, "mkdir", refuse)
+    assert main(["run", config, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: cannot create {out}: Permission denied\n"
 
 
 def test_main_report_subcommand(tmp_path, capsys):
@@ -482,12 +500,33 @@ def test_main_reports_only_numerical_errors_as_numerical_failure(tmp_path, capsy
     assert main(["run", config, "--out", out, "--quiet"]) == 3
     assert "failing stage" in capsys.readouterr().err
 
+    # the type decides, inside a stage or not
+    def runner(config):
+        raise SingularSystemError("not positive definite")
+    monkeypatch.setitem(TASKS, "complexity", dataclasses.replace(complexity, runner=runner))
+    assert main(["run", config, "--out", out, "--quiet"]) == 3
+    assert capsys.readouterr().err == "numerical failure: not positive definite\n"
+
     # a programming error is not a numerical failure: it propagates as is
     for error in (TypeError("bad call"), KeyError("missing")):
         monkeypatch.setitem(TASKS, "complexity",
                             dataclasses.replace(complexity, runner=_runner_raising(error)))
         with pytest.raises(type(error)):
             main(["run", config, "--out", out, "--quiet"])
+
+
+def test_every_library_error_is_a_rejected_input_or_a_numerical_error():
+    # a rejected input is a ValueError (validate reports ConfigErrors, exit 2)
+    # and a failed computation a NumericalError (exit 3); main reads the type
+    modules = [importlib.import_module(f"ngrc.{info.name}")
+               for info in pkgutil.iter_modules(ngrc.__path__)]
+    errors = [cls for module in [ngrc, *modules] for cls in vars(module).values()
+              if inspect.isclass(cls) and issubclass(cls, BaseException)
+              and cls.__module__ == module.__name__]
+    assert {cls.__name__ for cls in errors} >= {"ConfigError", "NumericalError",
+                                                "IntegrationError", "WarmupError"}
+    for cls in errors:
+        assert issubclass(cls, (ValueError, NumericalError)), cls
 
 
 def test_main_rejects_negative_seed_override(tmp_path, capsys):

@@ -252,8 +252,11 @@ def test_integrate_rejects_nonfinite_initial_state():
 
 
 def test_integration_config_needs_one_step():
-    with pytest.raises(ValueError, match="no step"):
+    with pytest.raises(ConfigError, match="no step"):
         IntegrationConfig(dt=0.1, t_span=(0.0, 0.04), initial_state=np.ones(3))
+    # an overflowing step count is a config error too, not round()'s OverflowError
+    with pytest.raises(ConfigError, match="too many steps"):
+        IntegrationConfig(dt=5e-324, t_span=(0.0, 1.0), initial_state=np.ones(3))
     config = IntegrationConfig(dt=0.1, t_span=(0.0, 0.06), initial_state=np.ones(3))
     assert np.array_equal(config.grid(), [0.0, 0.1])
 
