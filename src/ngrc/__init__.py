@@ -5,18 +5,12 @@ explicit feature vector made of time-delayed state copies and their
 low-order monomials, trained with ridge regression. The package covers
 training, closed-loop forecasting, hidden-component inference, the two
 reference chaotic systems, attractor-level verification metrics and a
-conventional recurrent reservoir baseline for cost comparisons.
+training-cost model that compares it with a traditional reservoir.
 """
 
 from .baseline import (
     CostParams,
-    Reservoir,
-    ReservoirError,
-    ReservoirParams,
-    build_reservoir,
     estimate_cost,
-    quadratic_readout_features,
-    reservoir_run,
     training_cost_ngrc,
     training_cost_rc,
 )
@@ -85,9 +79,6 @@ __all__ = [
     "Mode",
     "NgrcModel",
     "ReadoutMatrix",
-    "Reservoir",
-    "ReservoirError",
-    "ReservoirParams",
     "ReturnMap",
     "ReturnMapError",
     "ScalingVector",
@@ -97,7 +88,6 @@ __all__ = [
     "TrainingBlock",
     "UssEntry",
     "WarmupError",
-    "build_reservoir",
     "double_scroll",
     "estimate_cost",
     "estimate_model_uss",
@@ -117,8 +107,6 @@ __all__ = [
     "monomial_exponent_table",
     "nrmse",
     "on_attractor_state",
-    "quadratic_readout_features",
-    "reservoir_run",
     "return_map_deviation",
     "ridge_fit",
     "save_model",

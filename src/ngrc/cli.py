@@ -33,7 +33,7 @@ from .model import (
     train_forecaster,
     train_inferrer,
 )
-from .regression import ReadoutMatrix, TrainingBlock, ridge_fit
+from .regression import ReadoutMatrix
 from .systems import (
     IntegrationConfig,
     SystemDef,
@@ -66,16 +66,6 @@ _FEATURE_KEYS = {
     "degrees": [2],
     "include_constant": True,
     "constant_value": 1.0,
-}
-
-_RESERVOIR_KEYS = {
-    "n_nodes": 100,
-    "gamma": 1.0,
-    "spectral_radius": 0.9,
-    "sigma_r": 0.05,
-    "input_scale": 0.1,
-    "bias": 0.0,
-    "activation": "linear",
 }
 
 _FORECAST_KEYS = {
@@ -137,7 +127,7 @@ _ANY_VALUE = (lambda v: True, None)
 # type; the library objects built in resolve_config check the other keys.
 _RULES = {
     **dict.fromkeys(("seed", "test_horizon", "nrmse_horizon", "rmse_horizon", "threshold",
-                     "return_map_window", "warmup_points", "target"), _NONNEGATIVE),
+                     "return_map_window", "target"), _NONNEGATIVE),
     **dict.fromkeys(("train_points", "test_points", "repeats", "segments", "uss_segments"),
                     _AT_LEAST_ONE),
     # IntegrationConfig checks dt > 0; the horizon and window arithmetic here
@@ -162,7 +152,6 @@ def _library_errors(config: ExperimentConfig, system: SystemDef, d: int) -> list
                                                    TASKS[config.task].method),
         "dt": lambda: _integration_config(config, system.start, 2,
                                           noisy="noise_rms" in config.settings),
-        "n_nodes": lambda: _reservoir_params(config),
     }
     errors = []
     for key, build in builders.items():
@@ -332,11 +321,6 @@ def _sweep_steps(config: ExperimentConfig, system: SystemDef) -> tuple[int, int]
     return n_horizon, max(config["sizes"]) + n_horizon
 
 
-def _reservoir_params(config: ExperimentConfig) -> baseline.ReservoirParams:
-    return baseline.ReservoirParams(**{key: config[key] for key in _RESERVOIR_KEYS},
-                                    seed=config.seed)
-
-
 def _ranked_readout(model: NgrcModel, components: tuple[str, ...]) -> list[dict]:
     """All readout entries sorted by |weight| descending, with labels."""
     obs_names = [components[i] for i in model.input_indices]
@@ -370,8 +354,9 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
 
     # Segment 0 is the canonical model and runs on for the return map; the
     # others are retrained on the following training-length windows of the
-    # same trajectory.
-    segments, valid_times, reports = [], [], []
+    # same trajectory. A rollout that overflows inside its test window is
+    # reported by the first step that holds a non-finite component.
+    segments, valid_times, first_nonfinite, reports = [], [], [], []
     for seg in range(uss_segments):
         start, stop = seg * train_points, (seg + 1) * train_points
         with _stage("train"):
@@ -383,6 +368,8 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
         with _stage("verify"):
             valid_times.append(verify.valid_time(predicted.segment(0, n_test), test, scaling,
                                                  config["threshold"], system.lyapunov_time))
+            nonfinite = np.flatnonzero(~np.isfinite(predicted.values[:n_test]).all(axis=1))
+            first_nonfinite.append(int(nonfinite[0]) if nonfinite.size else None)
             reports.append(verify.uss_report(seg_model, true_uss, scaling))
         segments.append((train, seg_model, predicted, test))
     train, model, predicted, truth_test = segments[0]
@@ -416,6 +403,8 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
         "valid_time_lyapunov": valid_times[0],
         "valid_time_median": float(np.median(valid_times)),
         "valid_times": valid_times,
+        "first_nonfinite_steps": first_nonfinite,
+        "diverged_segments": sum(step is not None for step in first_nonfinite),
         "threshold": config["threshold"],
         "uss": uss_doc,
         "scaling": [float(v) for v in scaling.values],
@@ -607,35 +596,6 @@ def _complexity_headline(summary: dict) -> str:
     return f"speedup vs {row['reference']}: {lo:.1f}-{hi:.1f} (published {row['quoted_speedup']})"
 
 
-def _run_baseline(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
-                  scaling: ScalingVector, out: Path) -> dict:
-    train_points, warmup_points = config["train_points"], config["warmup_points"]
-
-    with _stage("reservoir run"):
-        reservoir = baseline.build_reservoir(_reservoir_params(config), system.dim)
-        states = baseline.reservoir_run(reservoir, truth)
-
-    with _stage("train readout"):
-        feats = baseline.quadratic_readout_features(states)
-        cols = np.arange(warmup_points, warmup_points + train_points)
-        target = truth.segment(warmup_points + 1, warmup_points + train_points + 1)
-        readout = ridge_fit(TrainingBlock(feats[:, cols], target.values.T), config["alpha"])
-        predicted = TimeSeries(truth.dt, (readout.weights @ feats[:, cols]).T)
-        train_nrmse = verify.nrmse(predicted, target, scaling)
-
-    return {
-        "n_nodes": config["n_nodes"],
-        "feature_dim": int(feats.shape[0]),
-        "activation": config["activation"],
-        "gamma": config["gamma"],
-        "alpha": config["alpha"],
-        "train_points": train_points,
-        "warmup_points": warmup_points,
-        "train_nrmse": train_nrmse,
-        "finite": bool(np.isfinite(train_nrmse)),
-    }
-
-
 @dataclass(frozen=True)
 class _Task:
     """What one task is, for the CLI, ``ngrc report`` and the reproduce script."""
@@ -656,8 +616,8 @@ class _Task:
 # noise-free solve of the task. RK23 at the loose default tolerances leaves the
 # sampling jitter that the forecast tasks' published alpha is tuned to, so they
 # stay on it; infer-lorenz stays on it too (see its defaults). The tight
-# (rtol 1e-8) ground truths of noise-lorenz and baseline-rc take DOP853, which
-# needs about a tenth of RK23's RHS calls there.
+# (rtol 1e-8) ground truth of noise-lorenz takes DOP853, which needs about a
+# tenth of RK23's RHS calls there.
 TASKS: dict[str, _Task] = {
     "forecast-lorenz": _Task(
         defaults=dict(_FORECAST_KEYS),
@@ -681,10 +641,10 @@ TASKS: dict[str, _Task] = {
             # open-loop inference has no feedback instability, so accurate data
             # strictly helps; coarse data leaks interpolation noise into the
             # observed components and inflates the testing error. Unlike
-            # noise-lorenz and baseline-rc this task stays on RK23: its
-            # test/train ratio depends on the exact 400-point window (the bound
-            # of 2 already fails for transient_time 27.5), and DOP853 data moves
-            # the canonical window itself above the bound.
+            # noise-lorenz this task stays on RK23: its test/train ratio
+            # depends on the exact 400-point window (the bound of 2 already
+            # fails for transient_time 27.5), and DOP853 data moves the
+            # canonical window itself above the bound.
             "rtol": 1e-8,
             "atol": 1e-10,
             "dt": 0.05,
@@ -741,21 +701,6 @@ TASKS: dict[str, _Task] = {
         headline=lambda summary: (f"median scaled RMSE {summary['scaled_rmse_median']:.2e} "
                                   f"over {summary['repeats']} seeds")),
     "complexity": _Task(defaults={}, runner=_run_complexity, headline=_complexity_headline),
-    "baseline-rc": _Task(
-        defaults={
-            **_INTEGRATION_KEYS,
-            "rtol": 1e-8,
-            "atol": 1e-10,
-            "train_points": 400,
-            "warmup_points": 100,
-            "alpha": 1e-6,
-            **_RESERVOIR_KEYS,
-        },
-        runner=_run_baseline, system=lorenz63, method="DOP853",
-        truth_samples=lambda config, system: (
-            config["warmup_points"] + config["train_points"] + 1),
-        headline=lambda summary: (f"train NRMSE {summary['train_nrmse']:.2e} "
-                                  f"with {summary['n_nodes']} nodes")),
 }
 
 
@@ -849,8 +794,12 @@ def main(argv=None) -> int:
             print(f"error: cannot read {summary_path}: {exc}", file=sys.stderr)
             return 2
         task = summary.get("task") if isinstance(summary, dict) else None
-        if not isinstance(task, str) or task not in TASKS:
+        if not isinstance(task, str):
             print(f"error: {summary_path} holds no run summary", file=sys.stderr)
+            return 2
+        if task not in TASKS:
+            print(f"error: {summary_path} holds a summary of unknown task {task!r}",
+                  file=sys.stderr)
             return 2
         try:
             headline = TASKS[task].headline(summary)

@@ -20,12 +20,13 @@ from ngrc import (
     IntegrationConfig,
     IntegrationError,
     ReadoutMatrix,
-    ReservoirParams,
     SingularSystemError,
+    TimeSeries,
     TrainingBlock,
     double_scroll,
     estimate_cost,
     feature_names,
+    forecast,
     load_model,
     on_attractor_state,
     ridge_fit,
@@ -160,7 +161,7 @@ def test_resolve_config_type_strictness(tmp_path):
         # a dt too long for the span of the samples that the run integrates
         *(({"task": task, "dt": 1e306}, "dt: .* must span a finite time")
           for task in ("forecast-doublescroll", "infer-lorenz", "sweep-trainsize",
-                       "noise-lorenz", "baseline-rc")),
+                       "noise-lorenz")),
         ({"task": "sweep-trainsize", "dt": 1e304}, "dt: 20021 samples"),
     ]
     for i, (doc, field) in enumerate(cases):
@@ -246,7 +247,7 @@ def test_main_run_complexity_writes_artifacts(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")  # a new overflow on the way fails here
-@pytest.mark.parametrize("task", ["forecast-lorenz", "forecast-doublescroll", "baseline-rc",
+@pytest.mark.parametrize("task", ["forecast-lorenz", "forecast-doublescroll",
                                   "sweep-trainsize", "noise-lorenz", "infer-lorenz"])
 def test_canonical_runs_reproduce_tracked_outputs_byte_for_byte(task, canonical_run):
     # every canonical task but complexity, which
@@ -277,30 +278,13 @@ sys.exit(any(main(["run", f"configs/{task}.json", "--out", f"{out}/{task}", "--q
 """
 
 
-@pytest.mark.parametrize("tasks", [
-    ("forecast-doublescroll", "noise-lorenz"),
-    pytest.param(("baseline-rc",), marks=pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="ROADMAP (platform independence: the ridge solve): "
-               "baseline-rc's train_nrmse moves in the 14th digit")),
-])
-def test_canonical_runs_are_byte_identical_at_one_blas_thread(tasks, tmp_path):
-    # OpenBLAS reads its thread count when numpy loads, hence the subprocess
-    subprocess.run([sys.executable, "-c", _RUN_CANONICAL, str(tmp_path), *tasks], cwd=ROOT,
+def test_canonical_runs_are_byte_identical_at_one_blas_thread(tmp_path):
+    # every canonical config, in one subprocess, since OpenBLAS reads its
+    # thread count when numpy loads
+    subprocess.run([sys.executable, "-c", _RUN_CANONICAL, str(tmp_path), *TASKS], cwd=ROOT,
                    env=subprocess_env(OPENBLAS_NUM_THREADS="1"), check=True, timeout=300)
-    for task in tasks:
+    for task in TASKS:
         assert_matches_tracked_run(task, tmp_path / task)
-
-
-def test_main_run_small_baseline(tmp_path):
-    config = write_config(tmp_path, {"task": "baseline-rc", "n_nodes": 50,
-                                     "sigma_r": 0.2, "train_points": 150,
-                                     "warmup_points": 30})
-    out = tmp_path / "out"
-    assert main(["run", config, "--out", str(out), "--quiet"]) == 0
-    summary = json.loads((out / "summary.json").read_text())
-    assert summary["finite"] is True
-    assert summary["train_nrmse"] < 1.0
 
 
 def test_main_run_is_bit_reproducible(tmp_path):
@@ -396,6 +380,8 @@ def test_main_report_subcommand(tmp_path, capsys):
     for i, (contents, missing) in enumerate([
             ("{truncated", ""), ("[1, 2]", ""), (None, ""), ("{}", ""),
             ('{"task": "nope"}', ""), ('{"task": ["complexity"]}', ""),
+            # a task that this version no longer has
+            ('{"task": "baseline-rc"}', "holds a summary of unknown task 'baseline-rc'"),
             ('{"task": "complexity"}', "'tables'"), ('{"task": "forecast-lorenz"}', "'uss'"),
             ('{"task": "sweep-trainsize", "sizes": [100]}', "'mean_nrmse'"),
             # every key present, of the wrong JSON type
@@ -451,6 +437,7 @@ def test_run_forecast_summary_is_finite_and_complete(tmp_path):
     assert summary["readout_shape"] == [3, 28]
     assert np.isfinite(summary["train_nrmse"])
     assert summary["valid_times"] and len(summary["valid_times"]) == 1
+    assert summary["first_nonfinite_steps"] == [None] and summary["diverged_segments"] == 0
     assert len(summary["uss"]) == 3
     ranked = summary["readout_ranked"]
     assert ranked and all({"feature", "weight", "output"} <= set(r) for r in ranked)
@@ -468,19 +455,37 @@ def test_run_forecast_segments_share_one_loop(tmp_path):
     assert all(entry["segments_converged"] <= 3 for entry in summary["uss"])
 
 
+def test_run_forecast_reports_the_first_nonfinite_step_of_each_rollout(tmp_path, capsys,
+                                                                        monkeypatch):
+    # segment 1's rollout overflows in one component from step 7 on
+    rollouts = []
+
+    def forecast_overflowing_second(model, train, n_steps):
+        predicted = forecast(model, train, n_steps)
+        rollouts.append(predicted)
+        if len(rollouts) != 2:
+            return predicted
+        values = predicted.values.copy()
+        values[7:, 1] = np.inf
+        return TimeSeries(predicted.dt, values, predicted.t0)
+
+    monkeypatch.setattr(ngrc.cli, "forecast", forecast_overflowing_second)
+    config = write_config(tmp_path, reduced_forecast_config(uss_segments=3))
+    out = tmp_path / "out"
+    assert main(["run", config, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["first_nonfinite_steps"] == [None, 7, None]
+    assert summary["diverged_segments"] == 1
+    assert main(["report", str(out)]) == 0
+    assert "  diverged_segments: 1" in capsys.readouterr().out.splitlines()
+
+
 def test_main_reports_data_dependent_failures_as_numerical(tmp_path, capsys):
-    # a diverged forecast has no maxima for the return map; a two-node
-    # reservoir with one link is nilpotent and cannot be rescaled
-    cases = [
-        ({"task": "forecast-lorenz", "dt": 0.1, "train_points": 120, "uss_segments": 1},
-         "return map"),
-        ({"task": "baseline-rc", "n_nodes": 2, "sigma_r": 0.25, "seed": 1},
-         "reservoir run"),
-    ]
-    for i, (doc, stage) in enumerate(cases):
-        config = write_config(tmp_path, doc, f"case{i}.json")
-        assert main(["run", config, "--out", str(tmp_path / str(i)), "--quiet"]) == 3
-        assert f"stage '{stage}'" in capsys.readouterr().err
+    # a diverged forecast has no maxima for the return map
+    doc = {"task": "forecast-lorenz", "dt": 0.1, "train_points": 120, "uss_segments": 1}
+    config = write_config(tmp_path, doc)
+    assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    assert "stage 'return map'" in capsys.readouterr().err
 
 
 def _runner_raising(error):
@@ -562,32 +567,14 @@ def test_main_reports_a_diverging_noisy_ensemble_as_numerical(tmp_path, capsys):
                    "noisy path 1 of lorenz63 is not finite at t = 0.35\n")
 
 
-def test_main_reports_an_overflowing_reservoir_as_numerical(tmp_path, capsys):
-    # a linear reservoir of spectral radius 5 grows about fivefold per sample
-    # and overflows within the 501 samples of the canonical run
-    config = write_config(tmp_path, {"task": "baseline-rc", "spectral_radius": 5.0})
-    assert main(["validate", config, "--quiet"]) == 0
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert re.fullmatch(r"numerical failure: stage 'reservoir run': reservoir state is "
-                        r"not finite at step \d+\n", capsys.readouterr().err)
-
-
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("train_points, cause", [
-    (150, "normal equations overflow"),  # finite squares, but their Gram matrix overflows
-    (350, "squared reservoir state is not finite at column"),
-])
-def test_main_reports_an_overflowing_readout_as_numerical(tmp_path, capsys, train_points,
-                                                          cause):
-    config = write_config(tmp_path, {"task": "baseline-rc", "spectral_radius": 5.0,
-                                     "warmup_points": 30, "train_points": train_points})
+def test_main_reports_an_overflowing_readout_as_numerical(tmp_path, capsys):
+    # a finite constant feature whose square in the Gram matrix overflows
+    config = write_config(tmp_path, {"task": "forecast-lorenz", "constant_value": 1e160})
     assert main(["validate", config, "--quiet"]) == 0
     assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
     assert capsys.readouterr().err.startswith(
-        f"numerical failure: stage 'train readout': {cause}")
+        "numerical failure: stage 'train': normal equations overflow")
 
 
 def integration_config(dt=0.025, **kw):
@@ -609,11 +596,8 @@ _LIBRARY_KEYS = {
                        lambda v: transient_config(double_scroll(), v, 1e-3, 1e-6, "RK23")),
     **{key: ("noise-lorenz", lambda v, key=key: integration_config(**{key: v}))
        for key in ("dt", "rtol", "atol", "noise_rms", "substeps")},
-    **{key: ("baseline-rc", lambda v, key=key: ReservoirParams(**{"n_nodes": 10, key: v}))
-       for key in ("n_nodes", "gamma", "spectral_radius", "sigma_r", "input_scale", "bias",
-                   "activation")},
 }
-_BAD_VALUES = [-1, 0, 1, 2, -0.0, 0.5, 1.5, 2.5, 1e-300, 5e-324, 1e300, "tanh", "relu",
+_BAD_VALUES = [-1, 0, 1, 2, -0.0, 0.5, 1.5, 2.5, 1e-300, 5e-324, 1e300,
                [], [1], [2], [2, 2], [2, 3]]
 
 
@@ -634,7 +618,7 @@ def test_validate_rejects_exactly_what_the_library_rejects(tmp_path):
             config = write_config(tmp_path, {"task": task, key: value}, f"{cases}.json")
             assert (main(["validate", config, "--quiet"]) == 0) == runs, (key, value)
             cases += 1
-    assert cases > 100
+    assert cases == 94
     # two bad fields of one object are both reported, each by name
     with pytest.raises(ConfigError) as exc:
         resolve_config({"task": "forecast-lorenz", "rtol": -1, "atol": -1})
@@ -647,8 +631,7 @@ def test_cli_rules_leave_library_parameters_to_the_library():
     # validate builds; a copy in cli._RULES would drift from it. dt keeps a
     # CLI rule, for the CLI's own horizon and window arithmetic (see above),
     # and seed is the CLI's base seed of every task, not one object's field.
-    library = {field.name for cls in (FeatureSpec, IntegrationConfig, ReservoirParams,
-                                      ReadoutMatrix)
+    library = {field.name for cls in (FeatureSpec, IntegrationConfig, ReadoutMatrix)
                for field in dataclasses.fields(cls)}
     library |= set(inspect.signature(on_attractor_state).parameters)
     assert set(ngrc.cli._RULES) & library == {"dt", "seed"}
