@@ -22,6 +22,19 @@ class NumericalError(RuntimeError):
     """A computation on accepted inputs failed; a rejected input is a ValueError."""
 
 
+def trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    ``__post_init__`` does not run, so nothing is checked, converted or
+    copied: only for values that the library has just made from checked ones,
+    such as a view of a series or the weights of a fit. Give every field.
+    """
+    instance = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(instance, name, value)
+    return instance
+
+
 def reject(*problems) -> None:
     """Raise a ConfigError with every problem that is not None or False."""
     if any(problems):
@@ -29,9 +42,11 @@ def reject(*problems) -> None:
 
 
 def _whole(value) -> bool:
-    # NaN and the infinities are not whole, and int() of them would raise;
-    # True == 1, but a flag is not a count
-    return not isinstance(value, (bool, np.bool_)) and -inf < value < inf and int(value) == value
+    # True == 1, but a flag is not a count; NaN and the infinities are not
+    # whole, and int() of them would raise
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    return isinstance(value, (int, np.integer)) or -inf < value < inf and int(value) == value
 
 
 def integer(name: str, value, least: int):

@@ -12,24 +12,24 @@ against this ordering.
 
 One cached, read-only index table decides that layout: row j lists the
 ``pmax`` entries of ``ext = [1.0, constant_value, lin...]`` whose product is
-feature j. The constant is ``(1, 0, ...)``, linear entry a is
-``(2 + a, 0, ...)``, and each monomial is its exponent tuple shifted by 2
-and padded with 0 (the 1.0). The feature count and names come from it too.
+feature j, where ``pmax`` is the highest degree and at least 2. The constant
+is ``(1, 0, ...)``, linear entry a is ``(2 + a, 0, ...)``, and each monomial
+is its exponent tuple shifted by 2 and padded with 0 (the 1.0). The feature
+count and names come from it too.
 
 One loop builds every feature: ``_multiply_columns`` multiplies the table's
 columns of ``ext`` left to right. :func:`total_features` maps one linear
-block, or a batch of them stacked as columns, through it; training
-(:func:`feature_block`) and the learned fixed point go through
-:func:`total_features`, and the closed-loop rollout through the reusable
-buffers of :func:`feature_writer`, so they all see the same vector bit for
-bit.
+block, or a batch of them stacked as columns, through it, and so does
+:func:`feature_block`, which writes its delay windows into ``ext`` itself;
+the closed-loop rollout goes through the reusable buffers of
+:func:`feature_writer`. They all see the same vector bit for bit.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -89,12 +89,22 @@ class FeatureSpec:
 @lru_cache(maxsize=128)
 def _layout(spec: FeatureSpec) -> np.ndarray:
     """The (n_features, pmax) layout table; see the module docstring."""
-    n, pmax = spec.n_linear, max(spec.degrees, default=1)
+    # two columns at least, so that a product always starts from two factors
+    n, pmax = spec.n_linear, max((2, *spec.degrees))
     rows = [(1,)] * spec.include_constant + [(2 + a,) for a in range(n)]
     rows += [tuple(2 + a for a in t) for p in spec.degrees for t in monomial_exponent_table(n, p)]
     table = np.array([row + (0,) * (pmax - len(row)) for row in rows], dtype=np.intp)
     table.flags.writeable = False
     return table
+
+
+@lru_cache(maxsize=128)
+def _columns(spec: FeatureSpec) -> tuple[np.ndarray, ...]:
+    """The layout table's columns, each contiguous and read-only."""
+    columns = tuple(np.ascontiguousarray(column) for column in _layout(spec).T)
+    for column in columns:
+        column.flags.writeable = False
+    return columns
 
 
 def feature_length(spec: FeatureSpec) -> int:
@@ -126,10 +136,22 @@ def total_features(lin: np.ndarray, spec: FeatureSpec) -> np.ndarray:
         raise ValueError(
             f"linear block has shape {lin.shape}, spec needs {spec.n_linear} = d*k rows"
         )
-    ext = np.empty((spec.n_linear + 2, *lin.shape[1:]), dtype=lin.dtype)
-    ext[0], ext[1], ext[2:] = 1.0, spec.constant_value, lin
-    columns = _layout(spec).T
-    return _multiply_columns(ext, columns, np.empty((columns.shape[1], *lin.shape[1:]), lin.dtype))
+    ext = _extended(spec, lin.shape[1:], lin.dtype)
+    ext[2:] = lin
+    return _products(ext, spec)
+
+
+def _extended(spec: FeatureSpec, shape: tuple, dtype=float) -> np.ndarray:
+    """An ``ext`` for blocks of trailing ``shape``, its linear rows left unset."""
+    ext = np.empty((spec.n_linear + 2, *shape), dtype)
+    ext[0], ext[1] = 1.0, spec.constant_value
+    return ext
+
+
+def _products(ext: np.ndarray, spec: FeatureSpec) -> np.ndarray:
+    """The feature vectors of a filled ``ext``, in a new array."""
+    columns = _columns(spec)
+    return _multiply_columns(ext, columns, np.empty((columns[0].size, *ext.shape[1:]), ext.dtype))
 
 
 def _multiply_columns(ext: np.ndarray, columns, out: np.ndarray) -> np.ndarray:
@@ -138,8 +160,8 @@ def _multiply_columns(ext: np.ndarray, columns, out: np.ndarray) -> np.ndarray:
     ``columns`` are the layout table's columns. They are multiplied left to
     right, the association of np.prod, so every caller gets the same bits.
     """
-    out[...] = ext[columns[0]]
-    for column in columns[1:]:
+    np.multiply(ext[columns[0]], ext[columns[1]], out=out)
+    for column in columns[2:]:
         out *= ext[column]
     return out
 
@@ -152,11 +174,9 @@ def feature_writer(spec: FeatureSpec):
     vector, equal bit for bit to :func:`total_features` of that block. Each
     call overwrites the vector the last one returned.
     """
-    ext = np.empty(spec.n_linear + 2)
-    ext[0], ext[1] = 1.0, spec.constant_value
-    columns = [np.ascontiguousarray(column) for column in _layout(spec).T]
-    out = np.empty(len(columns[0]))
-    return ext[2:].reshape(spec.k, spec.d), lambda: _multiply_columns(ext, columns, out)
+    ext, columns = _extended(spec, ()), _columns(spec)
+    out = np.empty(columns[0].size)
+    return ext[2:].reshape(spec.k, spec.d), partial(_multiply_columns, ext, columns, out)
 
 
 def feature_block(series: TimeSeries, spec: FeatureSpec, indices) -> np.ndarray:
@@ -179,11 +199,13 @@ def feature_block(series: TimeSeries, spec: FeatureSpec, indices) -> np.ndarray:
         )
     if indices.size and indices.max() >= series.n_samples:
         raise IndexError(f"index {indices.max()} out of range for {series.n_samples} samples")
-    # Linear block: row (j*d + c) holds component c delayed by j*s samples.
-    taps = indices[None, :] - spec.s * np.arange(spec.k)[:, None]  # (k, n)
-    lin = series.values[taps]                                      # (k, n, d)
-    lin = np.transpose(lin, (0, 2, 1)).reshape(spec.n_linear, -1)  # (k*d, n)
-    return total_features(lin, spec)
+    # Linear rows: row 2 + j*d + c of ext holds component c delayed by j*s
+    # samples. The (k, n, d) gather of the delay windows goes into them in one
+    # strided copy.
+    ext = _extended(spec, indices.shape)
+    windows = ext[2:].reshape(spec.k, spec.d, indices.size).transpose(0, 2, 1)
+    windows[...] = series.values.take(indices - spec.s * np.arange(spec.k)[:, None], axis=0)
+    return _products(ext, spec)
 
 
 def feature_names(spec: FeatureSpec, components: list[str] | None = None) -> list[str]:

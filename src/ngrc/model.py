@@ -24,7 +24,7 @@ from .features import (
     feature_writer,
     total_features,  # noqa: F401  (benchmarks trace features through ngrc.model)
 )
-from ._checks import integer, integers, reject
+from ._checks import integer, integers, reject, trusted
 from .regression import ReadoutMatrix, TrainingBlock, ridge_fit
 from .timeseries import TimeSeries
 
@@ -93,14 +93,12 @@ def train_forecaster(series: TimeSeries, spec: FeatureSpec, alpha: float) -> Ngr
     feats = feature_block(series, spec, idx)
     steps = series.values[idx[0]:]  # samples idx[0], ..., idx[-1] + 1, the last one
     targets = (steps[1:] - steps[:-1]).T
-    readout = ridge_fit(TrainingBlock(feats, targets), alpha)
-    return NgrcModel(
-        spec=spec,
-        readout=readout,
-        mode=Mode.FORECAST_DELTA,
-        input_indices=tuple(range(spec.d)),
-        metadata={"train_samples": int(len(idx))},
-    )
+    # Both are right by construction: the block's columns pair up, and the
+    # readout has d rows of feature_length(spec) weights.
+    readout = ridge_fit(trusted(TrainingBlock, features=feats, targets=targets), alpha)
+    return trusted(NgrcModel, spec=spec, readout=readout, mode=Mode.FORECAST_DELTA,
+                   input_indices=tuple(range(spec.d)),
+                   metadata={"train_samples": int(len(idx))})
 
 
 def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
@@ -109,7 +107,8 @@ def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
     The warm-up series seeds the delay window; afterwards every prediction
     is fed back, so the model is a self-contained dynamical system. The
     returned series holds only the predicted samples and starts one dt
-    after the last warm-up sample.
+    after the last warm-up sample. Its values are the rollout's own buffer,
+    made read-only.
 
     The feature buffers (``feature_writer``) are set up once per call. Each
     step copies its delay window, a strided view of the buffer, into the
@@ -129,20 +128,27 @@ def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
         raise WarmupError(
             f"warm-up needs at least (k-1)*s + 1 = {depth} samples, got {warmup.n_samples}"
         )
-    # Warm-up and predictions share one buffer, oldest first; the taps of
-    # step i are rows i + depth - 1 - js of it, newest first.
-    buf = np.empty((depth + n_steps, spec.d))
+    # Warm-up and predictions share one buffer, oldest first. The taps of the
+    # step that writes row i are rows i - 1 - js of it, newest first: rows
+    # end - i + js of its reversal, where end is the buffer's length.
+    end, s = depth + n_steps, spec.s
+    buf = np.empty((end, spec.d))
     buf[:depth] = warmup.values[-depth:]
+    newest_first = buf[::-1]
     lin, features = feature_writer(spec)
     weights = model.readout.weights
     # A model that escapes its attractor overflows to inf/nan; downstream
     # metrics treat non-finite samples as failed predictions, so the rollout
     # itself must not raise.
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            lin[...] = buf[i:i + depth:spec.s][::-1]
-            buf[depth + i] = buf[depth + i - 1] + weights.dot(features())
-    return TimeSeries(dt=warmup.dt, values=buf[depth:], t0=warmup.t0 + warmup.n_samples * warmup.dt)
+        newest = buf[depth - 1]
+        for i in range(depth, end):
+            lin[...] = newest_first[end - i:end - i + depth:s]
+            buf[i] = newest = newest + weights.dot(features())
+    values = buf[depth:]
+    values.setflags(write=False)
+    return trusted(TimeSeries, dt=warmup.dt, values=values,
+                   t0=warmup.t0 + warmup.n_samples * warmup.dt)
 
 
 def train_inferrer(series: TimeSeries, observed, target: int, spec: FeatureSpec,

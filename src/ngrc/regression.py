@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import NumericalError, entries, number, reject
+from ._checks import NumericalError, entries, number, reject, trusted
 
 
 class SingularSystemError(NumericalError):
@@ -91,7 +91,7 @@ def ridge_fit(block: TrainingBlock, alpha: float) -> ReadoutMatrix:
                 raise SingularSystemError("normal equations overflow: the Gram matrix of "
                                           "these finite training features is not finite")
             raise ValueError("training features and targets must be finite")
-        gram.flat[:: len(gram) + 1] += alpha  # the diagonal
+        gram.ravel()[:: len(gram) + 1] += alpha  # the diagonal, through a view
         try:
             factor_inv = np.linalg.inv(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError as exc:
@@ -103,6 +103,9 @@ def ridge_fit(block: TrainingBlock, alpha: float) -> ReadoutMatrix:
         for _ in range(2):
             rhs = O @ (Y - weights_t.T @ O).T - alpha * weights_t
             weights_t = weights_t + factor_inv.T @ (factor_inv @ rhs)
-    if not np.all(np.isfinite(weights_t)):
+    if not np.isfinite(weights_t).all():
         raise SingularSystemError("fit produced non-finite weights")
-    return ReadoutMatrix(weights=weights_t.T, alpha=float(alpha))
+    # the weights and alpha are checked: store them as ReadoutMatrix would
+    weights = np.ascontiguousarray(weights_t.T)
+    weights.setflags(write=False)
+    return trusted(ReadoutMatrix, weights=weights, alpha=float(alpha))

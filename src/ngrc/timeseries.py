@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import number, reject
+from ._checks import integer, integers, number, reject, trusted
 
 
 @dataclass(frozen=True)
@@ -53,14 +53,25 @@ class TimeSeries:
         return self.dt * (self.n_samples - 1)
 
     def segment(self, start: int, stop: int) -> "TimeSeries":
-        """Samples ``start:stop`` as a new series with the matching ``t0``."""
-        if not (0 <= start < stop <= self.n_samples):
-            raise ValueError(f"segment [{start}:{stop}] out of range for {self.n_samples} samples")
-        return TimeSeries(self.dt, self.values[start:stop], self.t0 + start * self.dt)
+        """Samples ``start:stop`` as a series with the matching ``t0``.
+
+        Its values are a read-only view of this series' values, not a copy.
+        """
+        n = self.n_samples
+        reject(integer("start", start, 0) or integer("stop", stop, 0)
+               or not start < stop <= n
+               and f"segment [{start}:{stop}] out of range for {n} samples")
+        start, stop = int(start), int(stop)
+        return trusted(TimeSeries, dt=self.dt, values=self.values[start:stop],
+                       t0=self.t0 + start * self.dt)
 
     def select(self, indices) -> "TimeSeries":
         """A series containing only the given component columns."""
-        return TimeSeries(self.dt, self.values[:, list(indices)], self.t0)
+        indices, n = list(indices), self.n_components
+        reject(integers("indices", indices, 0)
+               or max(indices, default=0) >= n
+               and f"indices must all be < {n} components, got {indices}")
+        return TimeSeries(self.dt, self.values[:, [int(i) for i in indices]], self.t0)
 
     def to_csv(self, path) -> None:
         """Write delimited text: time in the first column, components after.

@@ -174,13 +174,24 @@ def test_degree_blocks_scale_homogeneously(spec, scale):
         pos += n
 
 
+MIXED = FeatureSpec(d=3, k=2, s=3, degrees=(2, 3), include_constant=True)
+
+
 def test_feature_block_matches_per_index_loop(accurate_lorenz):
-    spec = FeatureSpec(d=3, k=2, s=3, degrees=(2, 3), include_constant=True)
-    indices = np.arange(spec.warmup_index, 40)
-    block = feature_block(accurate_lorenz, spec, indices)
-    for col, i in enumerate(indices):
-        window = accurate_lorenz.values[i - spec.s * np.arange(spec.k)].ravel()
-        assert np.array_equal(block[:, col], total_features(window, spec))
+    # one test name, several index sets: each column against its own window
+    cases = [
+        (MIXED, [0, 1, 2], np.arange(MIXED.warmup_index, 40)),
+        (MIXED, [0, 1, 2], [40, 7, 7, 19]),  # unsorted, with a repeat
+        (MIXED, [0, 1, 2], [25]),
+        (LORENZ_INFER, [0, 2], np.arange(LORENZ_INFER.warmup_index, 200, 3)),
+    ]
+    for spec, components, indices in cases:
+        series = accurate_lorenz.select(components)
+        block = feature_block(series, spec, indices)
+        assert block.shape == (feature_length(spec), len(indices))
+        for col, i in enumerate(indices):
+            window = series.values[i - spec.s * np.arange(spec.k)].ravel()
+            assert np.array_equal(block[:, col], total_features(window, spec))
 
 
 @st.composite

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ngrc import TimeSeries
+from ngrc import FeatureSpec, TimeSeries, forecast, train_forecaster
+from ngrc._checks import ConfigError
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False,
                           min_value=-1e12, max_value=1e12)
@@ -37,10 +38,19 @@ def test_segment_halves_and_t0():
 
 def test_segment_rejects_empty_or_reversed():
     series = make_series()
-    with pytest.raises(ValueError):
-        series.segment(3, 3)
-    with pytest.raises(ValueError):
-        series.segment(4, 2)
+    for start, stop, field in [(3, 3, "out of range"), (4, 2, "out of range"),
+                               (-1, 3, "start"), (0, 6, "out of range"), (True, 3, "start"),
+                               (0, 2.5, "stop"), (np.nan, 3, "start"), (0, np.inf, "stop")]:
+        with pytest.raises(ConfigError, match=field):
+            series.segment(start, stop)
+
+
+def test_segment_takes_whole_numbers_of_any_type():
+    series = make_series()
+    for start, stop in ((np.int64(1), np.int64(3)), (1.0, 3.0)):
+        seg = series.segment(start, stop)
+        assert np.array_equal(seg.values, series.values[1:3])
+        assert seg.t0 == series.t0 + series.dt
 
 
 def test_select_components():
@@ -48,6 +58,10 @@ def test_select_components():
     sel = series.select([2, 0])
     assert np.array_equal(sel.values, series.values[:, [2, 0]])
     assert sel.t0 == series.t0
+    assert np.array_equal(series.select(np.array([1])).values, series.values[:, [1]])
+    for indices in ([-1], [3], [0, 5], [0.5], [True]):
+        with pytest.raises(ConfigError, match="indices"):
+            series.select(indices)
 
 
 def test_validation_rejects_bad_shapes():
@@ -105,6 +119,18 @@ def test_csv_single_row(tmp_path):
 
 
 def test_values_are_read_only():
-    series = make_series()
-    with pytest.raises(ValueError):
-        series.values[0, 0] = 99.0
+    series = make_series(n=8)
+    before = series.values.copy()
+    seg = series.segment(2, 7)
+    inner = seg.segment(1, 3)
+    for view, rows in ((seg, slice(2, 7)), (inner, slice(3, 5))):
+        assert np.array_equal(view.values, before[rows])
+        assert np.shares_memory(view.values, series.values)  # a view, not a copy
+    spec = FeatureSpec(d=2, k=2, s=1, degrees=(2,))
+    rng = np.random.default_rng(5)
+    noisy = TimeSeries(dt=0.1, values=rng.normal(size=(40, 2)))
+    predicted = forecast(train_forecaster(noisy, spec, 1e-3), noisy, 4)
+    for values in (series.values, seg.values, inner.values, predicted.values):
+        with pytest.raises(ValueError, match="read-only"):
+            values[0, 0] = 99.0
+    assert np.array_equal(series.values, before)

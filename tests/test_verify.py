@@ -159,6 +159,16 @@ def test_training_nrmse_of_a_reloaded_model_and_of_short_series(lorenz_task):
         training_nrmse(model, train.segment(0, model.spec.warmup_index + 1))
 
 
+@pytest.mark.parametrize("target_index", [-1, 7])
+def test_training_nrmse_rejects_a_reloaded_inferrer_with_a_bad_target(accurate_lorenz,
+                                                                       target_index):
+    spec = FeatureSpec(d=2, k=2, s=1, degrees=(2,), include_constant=True)
+    doc = to_document(train_inferrer(accurate_lorenz, (0, 1), 2, spec, 1e-6))
+    doc["metadata"]["target_index"] = target_index
+    with pytest.raises(ConfigError, match="indices"):
+        training_nrmse(from_document(doc), accurate_lorenz)
+
+
 def test_instantaneous_nrmse_per_sample():
     truth = TimeSeries(dt=0.5, values=np.zeros((3, 2)))
     predicted = TimeSeries(dt=0.5, values=np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]))
