@@ -41,18 +41,25 @@ def reject(*problems) -> None:
         raise ConfigError([problem for problem in problems if problem])
 
 
+# The largest count that a float holds exactly, with every count below it: a
+# count that becomes a time span or a step length must not exceed it.
+MAX_COUNT = 2**53
+
+
 def _whole(value) -> bool:
     # True == 1, but a flag is not a count; NaN and the infinities are not
-    # whole, and int() of them would raise
+    # whole, and int() of them would raise; a string or None is no number
     if isinstance(value, (bool, np.bool_)):
         return False
-    return isinstance(value, (int, np.integer)) or -inf < value < inf and int(value) == value
+    if isinstance(value, (int, np.integer)):
+        return True
+    return isinstance(value, (float, np.floating)) and -inf < value < inf and int(value) == value
 
 
 def integer(name: str, value, least: int):
     """A whole number of any numeric type, at least ``least``."""
     if not _whole(value):
-        return f"{name} must be an integer, got {value}"
+        return f"{name} must be an integer, got {value!r}"
     return f"{name} must be >= {least}, got {value}" if value < least else None
 
 
@@ -69,10 +76,14 @@ def number(name: str, value, low=-inf, high=inf, open_low=False, rule=None):
     """A finite number in [low, high], or in (low, high] if ``open_low``.
 
     An interval with no upper end starts at 0 or -inf. ``rule`` replaces the
-    interval's description in the message.
+    interval's description in the message. A value that is not a number,
+    such as a string or None, fails.
     """
-    if -inf < value < inf and (low < value if open_low else low <= value) and value <= high:
-        return None
+    try:
+        if -inf < value < inf and (low < value if open_low else low <= value) and value <= high:
+            return None
+    except TypeError:  # no order with floats
+        pass
     if rule is None:
         rule = (f"in {'(' if open_low else '['}{low:g}, {high:g}]" if high < inf
                 else "finite" if low == -inf

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, verify
-from ._checks import ConfigError, NumericalError
-from .features import FeatureSpec, feature_names
+from ._checks import MAX_COUNT, ConfigError, NumericalError
+from .features import FeatureSpec, feature_length, feature_names
 from .model import (
     NgrcModel,
     forecast,
@@ -86,9 +86,8 @@ class ExperimentConfig:
     """A fully resolved experiment description."""
 
     task: str
-    seed: int
     out_dir: str
-    settings: dict
+    settings: dict  # the keys of the task's defaults, each one read by its run
 
     def __getitem__(self, key):
         return self.settings[key]
@@ -98,9 +97,7 @@ class ExperimentConfig:
 
     def to_document(self) -> dict:
         """Flat key/value map that reproduces this run when fed back in."""
-        doc = {"task": self.task, "seed": self.seed}
-        doc.update({key: self.settings[key] for key in sorted(self.settings)})
-        return doc
+        return {"task": self.task, **dict(sorted(self.settings.items()))}
 
 
 _TYPE_NAMES = {bool: "true/false", int: "an integer", float: "a finite number",
@@ -120,21 +117,22 @@ def _has_type(value, default) -> bool:
 
 
 _NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
-_AT_LEAST_ONE = (lambda v: v >= 1, "must be >= 1")
+# A count times dt is a time span: the count must be exact in a float.
+_COUNT = (lambda v: 1 <= v <= MAX_COUNT, "must be >= 1 and <= 2**53")
 _ANY_VALUE = (lambda v: True, None)
 
 # One (holds, message) rule per CLI-only key that has an invariant beyond its
 # type; the library objects built in resolve_config check the other keys.
 _RULES = {
-    **dict.fromkeys(("seed", "test_horizon", "nrmse_horizon", "rmse_horizon", "threshold",
+    **dict.fromkeys(("test_horizon", "nrmse_horizon", "rmse_horizon", "threshold",
                      "return_map_window", "target"), _NONNEGATIVE),
     **dict.fromkeys(("train_points", "test_points", "repeats", "segments", "uss_segments"),
-                    _AT_LEAST_ONE),
+                    _COUNT),
     # IntegrationConfig checks dt > 0; the horizon and window arithmetic here
     # also needs finitely many samples per time unit, which a subnormal lacks
     "dt": (lambda v: v <= 0 or 1 / v < math.inf, "must be positive with a finite reciprocal"),
-    "sizes": (lambda v: v and min(v) >= 10 and len(set(v)) == len(v),
-              "expected a non-empty list of distinct integers >= 10"),
+    "sizes": (lambda v: v and min(v) >= 10 and max(v) <= MAX_COUNT and len(set(v)) == len(v),
+              "expected a non-empty list of distinct integers from 10 to 2**53"),
     "observed": (lambda v: v and min(v) >= 0 and len(set(v)) == len(v),
                  "expected a non-empty list of distinct component indices"),
 }
@@ -184,7 +182,7 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         raise ConfigError([f"task: {problem} (one of " + ", ".join(TASKS) + ")"])
 
     record = TASKS[task]
-    defaults = {"seed": 0, "out_dir": f"runs/{task}", **record.defaults}
+    defaults = {"out_dir": f"runs/{task}", **record.defaults}
     settings = dict(defaults)
     for key, value in raw.items():
         if key == "task":
@@ -204,8 +202,7 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
             continue
         settings[key] = value
 
-    config = ExperimentConfig(task=task, seed=settings.pop("seed"),
-                              out_dir=settings.pop("out_dir"), settings=settings)
+    config = ExperimentConfig(task=task, out_dir=settings.pop("out_dir"), settings=settings)
     # the nearest path of out_dir and its parents that exists must be a directory
     out = Path(config.out_dir)
     existing = next((path for path in (out, *out.parents) if path.exists()), None)
@@ -240,6 +237,9 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
                 errors.append(f"{key}: need at least {need} samples for the "
                               f"delay window of k={spec.k}, s={spec.s}, "
                               f"got {settings[key]}")
+    if "test_horizon" in settings and settings["nrmse_horizon"] > settings["test_horizon"]:
+        errors.append(f"nrmse_horizon: must not exceed test_horizon={settings['test_horizon']!r}"
+                      f", got {settings['nrmse_horizon']!r}")
     dt = settings["dt"]
     for key in ("test_horizon", "nrmse_horizon", "rmse_horizon"):  # in Lyapunov times
         if key in settings and _sample_count(settings[key] * system.lyapunov_time, dt) is None:
@@ -254,11 +254,12 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
     # The ground truth as its runner builds it, once the counts it is made of
-    # are known to be finite: dt must also be short enough for its span.
+    # are known to be finite: dt must also be short enough for its span, and
+    # the span a float (a huge horizon times many segments overflows it).
     n_truth = record.truth_samples(config, system)
     try:
-        _integration_config(config, system.start, n_truth)
-    except ConfigError as exc:
+        _integration_config(config, system.start, n_truth, method=record.method)
+    except (ConfigError, OverflowError) as exc:
         raise ConfigError([f"dt: {n_truth} samples of dt={dt} must span a finite time "
                            f"({exc})"]) from exc
     return config
@@ -286,8 +287,8 @@ def _integration_config(config: ExperimentConfig, x0, n_samples: int, t0: float 
                         method: str = "RK23", noisy: bool = False) -> IntegrationConfig:
     """n_samples of dt from t0 on; a noisy run also takes the config's noise keys."""
     dt = config["dt"]
-    noise = (dict(seed=config.seed, noise_rms=config["noise_rms"], substeps=config["substeps"])
-             if noisy else {})
+    noise = (dict(seed=config["seed"], noise_rms=config["noise_rms"],
+                  substeps=config["substeps"]) if noisy else {})
     return IntegrationConfig(dt=dt, t_span=(t0, t0 + (n_samples - 1) * dt), initial_state=x0,
                              rtol=config["rtol"], atol=config["atol"], method=method, **noise)
 
@@ -348,7 +349,7 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
     spec = config.feature_spec(system.dim)
     train_points = config["train_points"]
     n_test, n_return, n_forecast = _forecast_steps(config, system)
-    n_nrmse = min(_horizon_steps(config, system, "nrmse_horizon"), n_test)
+    n_nrmse = _horizon_steps(config, system, "nrmse_horizon")  # at most n_test
     uss_segments = config["uss_segments"]
     true_uss = system.steady_states()
 
@@ -576,17 +577,46 @@ def _run_noise(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
     }
 
 
+# Published speedup figures for the reference reservoir implementations, keyed
+# by the forecast task whose default model they are compared with, and laid out
+# as the rows that the complexity task reports; it fills in computed_speedup.
+_COMPLEXITY_REFERENCES = {
+    "forecast-lorenz": [
+        {"reference": "low-connectivity RC", "m_warmup": 1000, "m_train": 1000,
+         "n_total": 100, "n_nodes": 100, "sigma_r": [0.01, 0.05],
+         "computed_speedup": None, "quoted_speedup": "33-163"},
+        {"reference": "intermediate RC", "m_warmup": 0, "m_train": 5000,
+         "n_total": 300, "n_nodes": 300, "sigma_r": [0.02],
+         "computed_speedup": None, "quoted_speedup": "1.5e3"},
+        {"reference": "high-accuracy RC", "m_warmup": 100000, "m_train": 60000,
+         "n_total": 4000, "n_nodes": 2000, "sigma_r": [0.02],
+         "computed_speedup": None, "quoted_speedup": "3.2e6"},
+    ],
+    "forecast-doublescroll": [
+        {"reference": "low-connectivity RC", "m_warmup": 1000, "m_train": 1000,
+         "n_total": 100, "n_nodes": 100, "sigma_r": [0.01, 0.05],
+         "computed_speedup": None, "quoted_speedup": "8-41"},
+    ],
+}
+
+
 def _run_complexity(config: ExperimentConfig) -> dict:
     tables = []
-    for case in baseline.COMPLEXITY_CASES:
-        ng = baseline.CostParams(**case["ngrc"])
+    for task, references in _COMPLEXITY_REFERENCES.items():
+        record = TASKS[task]
+        system = record.system()
+        spec = replace(config, task=task, settings=record.defaults).feature_spec(system.dim)
+        n_total = feature_length(spec)
+        ngrc = {"m_warmup": spec.warmup_index + 1, "m_train": record.defaults["train_points"],
+                "n_total": n_total, "n_nonlinear": n_total - spec.n_linear - spec.include_constant}
+        ng = baseline.CostParams(**ngrc)
         rows = []
-        for row in case["rows"]:
+        for row in references:
             sizes = {key: row[key] for key in ("m_warmup", "m_train", "n_total", "n_nodes")}
             computed = [baseline.estimate_cost(ng, baseline.CostParams(**sizes, sigma_r=sigma))
                         for sigma in row["sigma_r"]]
             rows.append({**row, "computed_speedup": computed})
-        tables.append({**case, "rows": rows})
+        tables.append({"system": system.name, "ngrc": ngrc, "rows": rows})
     return {"tables": tables}
 
 
@@ -600,7 +630,7 @@ def _complexity_headline(summary: dict) -> str:
 class _Task:
     """What one task is, for the CLI, ``ngrc report`` and the reproduce script."""
 
-    defaults: dict  # its keys are the task's allowed keys, besides task, seed and out_dir
+    defaults: dict  # its keys are the task's allowed keys, besides task and out_dir
     runner: Callable[..., dict]  # (config, system, truth, scaling, out), or (config) alone
     headline: Callable[[dict], str]  # one line of a summary's results
     system: Callable[[], SystemDef] | None = None  # built anew for every run and validation
@@ -690,6 +720,8 @@ TASKS: dict[str, _Task] = {
             "alpha": 1.4e-2,
             "noise_rms": 1.0,
             "substeps": 20,
+            # the base of the noise paths' seeds, the one random input of any task
+            "seed": 0,
             "repeats": 10,
             # the published error figure corresponds to roughly a quarter of a
             # Lyapunov time; beyond that chaos amplifies the initial offset
@@ -773,7 +805,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="run an experiment from a config file")
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", help="output directory (overrides config)")
-    p_run.add_argument("--seed", type=int, help="base seed (overrides config)")
+    p_run.add_argument("--seed", type=int, help="noise-lorenz's base seed (overrides config)")
     p_run.add_argument("--quiet", action="store_true", help="suppress the summary printout")
 
     p_val = sub.add_parser("validate", help="check a config file without running")

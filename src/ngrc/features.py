@@ -198,7 +198,7 @@ def feature_block(series: TimeSeries, spec: FeatureSpec, indices) -> np.ndarray:
             f"index {indices.min()} precedes warm-up: need i >= {spec.warmup_index}"
         )
     if indices.size and indices.max() >= series.n_samples:
-        raise IndexError(f"index {indices.max()} out of range for {series.n_samples} samples")
+        raise ValueError(f"index {indices.max()} out of range for {series.n_samples} samples")
     # Linear rows: row 2 + j*d + c of ext holds component c delayed by j*s
     # samples. The (k, n, d) gather of the delay windows goes into them in one
     # strided copy.

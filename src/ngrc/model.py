@@ -24,7 +24,7 @@ from .features import (
     feature_writer,
     total_features,  # noqa: F401  (benchmarks trace features through ngrc.model)
 )
-from ._checks import integer, integers, reject, trusted
+from ._checks import ConfigError, integer, integers, reject, trusted
 from .regression import ReadoutMatrix, TrainingBlock, ridge_fit
 from .timeseries import TimeSeries
 
@@ -216,10 +216,21 @@ def to_document(model: NgrcModel) -> dict:
 
 
 def from_document(doc: dict) -> NgrcModel:
+    """The model that :func:`to_document` wrote. A document that is not one, or
+    whose entries make no valid model, is a ValueError that names the entry."""
+    if not isinstance(doc, dict):
+        raise ConfigError([f"model document must be a JSON object, got {type(doc).__name__}"])
     version = doc.get("format_version")
     if version != SERIAL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    spec = FeatureSpec(**{field.name: doc[field.name] for field in fields(FeatureSpec)})
+    spec_keys = [field.name for field in fields(FeatureSpec)]
+    reject(*(key not in doc and f"model document lacks {key}" for key in
+             ("mode", *spec_keys, "input_indices", "output_dim", "alpha", "weights")))
+    reject(*(not isinstance(doc[key], (list, tuple)) and f"{key} must be a list, got {doc[key]!r}"
+             for key in ("degrees", "input_indices", "weights")),
+           not isinstance(doc.get("metadata", {}), dict)
+           and f"metadata must be a JSON object, got {doc['metadata']!r}")
+    spec = FeatureSpec(**{key: doc[key] for key in spec_keys})
     readout = ReadoutMatrix(weights=doc["weights"], alpha=doc["alpha"])
     if doc["output_dim"] != readout.output_dim:
         raise ValueError(f"output_dim {doc['output_dim']!r} does not match the "

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _dop853
-from ._checks import NumericalError, integer, number, one_of, reject
+from ._checks import MAX_COUNT, NumericalError, integer, number, one_of, reject
 from .timeseries import TimeSeries
 
 
@@ -83,7 +83,8 @@ class IntegrationConfig:
     Both integrators read ``dt``, ``t_span`` and ``initial_state``.
     :func:`integrate` reads ``method``, ``rtol`` and ``atol``, and refuses a
     config with ``noise_rms > 0``; :func:`integrate_noisy` reads ``seed``,
-    ``noise_rms`` and ``substeps`` and ignores the other three.
+    ``noise_rms`` and ``substeps`` and ignores the other three. ``seed`` is
+    None or >= 0, and ``substeps`` at most 2**53, so that dt / substeps is a float.
     """
 
     dt: float
@@ -104,7 +105,9 @@ class IntegrationConfig:
                number("integration tolerances: rtol", self.rtol, 0.0, open_low=True),
                number("integration tolerances: atol", self.atol, 0.0, open_low=True),
                number("noise_rms", self.noise_rms, 0.0),
-               integer("substeps", self.substeps, 1),
+               self.seed is not None and integer("seed", self.seed, 0),
+               integer("substeps", self.substeps, 1)
+               or self.substeps > MAX_COUNT and f"substeps must be <= 2**53, got {self.substeps}",
                one_of("method", self.method, tuple(_PAIRS)),
                (state.ndim != 1 or not np.isfinite(state).all())
                and f"initial_state must be a finite 1-D vector, got {state}")
@@ -116,6 +119,7 @@ class IntegrationConfig:
                and f"time span {self.t_span} holds no step of dt = {self.dt}")
         object.__setattr__(self, "initial_state", state)
         object.__setattr__(self, "substeps", int(self.substeps))
+        object.__setattr__(self, "seed", None if self.seed is None else int(self.seed))
 
     def grid(self) -> np.ndarray:
         """The sample times t0 + m*dt covering the span (exact arithmetic)."""

@@ -10,6 +10,7 @@ maxima.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -109,8 +110,10 @@ def training_nrmse(model: NgrcModel, series: TimeSeries) -> float:
         scored = series
         first = idx[0] + 1
     else:
+        target = model.metadata.get("target_index")
+        reject(integer("the inferrer's metadata target_index", target, -inf))
         predicted = infer(model, series)
-        scored = series.select([model.metadata["target_index"]])
+        scored = series.select([target])
         first = model.spec.warmup_index
     scale = scored.values.std(axis=0)
     scale[scale == 0] = 1.0

@@ -66,22 +66,57 @@ def test_every_task_has_defaults():
     for task, record in TASKS.items():
         config = resolve_config({"task": task})
         assert config.settings == record.defaults
-        assert config.seed == 0
         assert config.out_dir == f"runs/{task}"
 
 
+class _ReadRecorder(dict):
+    """A config's settings that note each key a run reads."""
+
+    def __init__(self, settings):
+        super().__init__(settings)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+# Each task's config shrunk to run in a fraction of a second; every key keeps
+# its role.
+_REDUCED = {
+    "forecast-lorenz": reduced_forecast_config(return_map_window=5.0),
+    "forecast-doublescroll": reduced_forecast_config(task="forecast-doublescroll"),
+    "infer-lorenz": {"task": "infer-lorenz", "train_points": 60, "test_points": 60,
+                     "transient_time": 5.0},
+    "sweep-trainsize": {"task": "sweep-trainsize", "sizes": [20, 30], "segments": 2},
+    "noise-lorenz": {"task": "noise-lorenz", "train_points": 60, "repeats": 2,
+                     "rtol": 1e-6, "atol": 1e-8},
+    "complexity": {"task": "complexity"},
+}
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_every_resolved_key_is_read_by_its_run(task, tmp_path):
+    # a key that a task accepts but never reads would look configurable and do
+    # nothing, as a seed of a task without noise once did
+    config = resolve_config({**_REDUCED[task], "out_dir": str(tmp_path)})
+    settings = _ReadRecorder(config.settings)
+    ngrc.cli.run_experiment(dataclasses.replace(config, settings=settings))
+    resolved = json.loads((tmp_path / "resolved-config.json").read_text())
+    assert set(resolved) - {"task"} <= settings.read
+
+
 def test_resolve_config_overrides_and_document_roundtrip():
-    config = resolve_config({"task": "forecast-lorenz", "alpha": 1e-3, "k": 3,
+    config = resolve_config({"task": "noise-lorenz", "alpha": 1e-3, "k": 3,
                              "seed": 5, "out_dir": "elsewhere"})
     assert config["alpha"] == 1e-3
     assert config["k"] == 3
-    assert config.seed == 5
+    assert config["seed"] == 5
     assert config.out_dir == "elsewhere"
     doc = config.to_document()
     assert "out_dir" not in doc  # output location never affects provenance
     rebuilt = resolve_config(doc)
     assert rebuilt.settings == config.settings
-    assert rebuilt.seed == config.seed
 
 
 def test_resolve_config_rejects_unknown_key():
@@ -117,7 +152,7 @@ def test_resolve_config_rejects_observed_target_overlap():
 
 def test_resolve_config_type_strictness(tmp_path):
     with pytest.raises(ConfigError, match="seed"):
-        resolve_config({"task": "complexity", "seed": "zero"})
+        resolve_config({"task": "noise-lorenz", "seed": "zero"})
     with pytest.raises(ConfigError, match="seed"):
         resolve_config({"task": "noise-lorenz", "seed": -1})
     with pytest.raises(ConfigError, match="degrees"):
@@ -163,6 +198,21 @@ def test_resolve_config_type_strictness(tmp_path):
           for task in ("forecast-doublescroll", "infer-lorenz", "sweep-trainsize",
                        "noise-lorenz")),
         ({"task": "sweep-trainsize", "dt": 1e304}, "dt: 20021 samples"),
+        # a count times dt is a time span, so each count must be exact in a float
+        *(({"task": task, key: 10**400}, key)
+          for task, key in (("forecast-lorenz", "train_points"), ("infer-lorenz", "test_points"),
+                            ("forecast-doublescroll", "uss_segments"),
+                            ("sweep-trainsize", "segments"), ("noise-lorenz", "repeats"))),
+        ({"task": "sweep-trainsize", "sizes": [100, 10**400]}, "sizes"),
+        ({"task": "noise-lorenz", "substeps": 10**400}, "substeps"),
+        ({"task": "forecast-lorenz", "train_points": 10**200, "uss_segments": 10**200},
+         "train_points"),
+        # ... and so must the ground truth's span, a horizon times many segments
+        ({"task": "sweep-trainsize", "segments": 2**50, "nrmse_horizon": 1e300},
+         "dt: .* must span a finite time"),
+        # the NRMSE is scored inside the test window, not past it
+        ({"task": "forecast-lorenz", "test_horizon": 1.0, "nrmse_horizon": 3.0},
+         "nrmse_horizon: must not exceed test_horizon"),
     ]
     for i, (doc, field) in enumerate(cases):
         with pytest.raises(ConfigError, match=field):
@@ -232,7 +282,7 @@ def test_main_run_complexity_writes_artifacts(tmp_path, capsys):
     assert (out / "summary.json").read_bytes() == tracked.read_bytes()
     summary = json.loads((out / "summary.json").read_text())
     resolved = json.loads((out / "resolved-config.json").read_text())
-    assert resolved == {"task": "complexity", "seed": 0}
+    assert resolved == {"task": "complexity"}
     for table in summary["tables"]:
         ng = CostParams(m_warmup=table["ngrc"]["m_warmup"],
                         m_train=table["ngrc"]["m_train"],
@@ -304,12 +354,18 @@ def test_main_run_is_bit_reproducible(tmp_path):
     assert (out_a / "forecast.csv").read_bytes() == (out_c / "forecast.csv").read_bytes()
 
 
-def test_main_seed_override_lands_in_provenance(tmp_path):
-    config = write_config(tmp_path, {"task": "complexity"})
+def test_main_seed_override_lands_in_provenance(tmp_path, capsys):
+    config = write_config(tmp_path, {"task": "noise-lorenz", "repeats": 1, "rtol": 1e-3,
+                                     "atol": 1e-6})
     out = tmp_path / "out"
     assert main(["run", config, "--out", str(out), "--seed", "7", "--quiet"]) == 0
     resolved = json.loads((out / "resolved-config.json").read_text())
     assert resolved["seed"] == 7
+    # the noisy training is the one random input; no other task takes a seed
+    forecast_config = str(ROOT / "configs" / "forecast-lorenz.json")
+    assert main(["run", forecast_config, "--seed", "3", "--quiet"]) == 2
+    assert capsys.readouterr().err == ("config error: seed: unknown key for task "
+                                       "forecast-lorenz\n")
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -629,12 +685,11 @@ def test_validate_rejects_exactly_what_the_library_rejects(tmp_path):
 def test_cli_rules_leave_library_parameters_to_the_library():
     # A library parameter's value rules live in its constructor, which
     # validate builds; a copy in cli._RULES would drift from it. dt keeps a
-    # CLI rule, for the CLI's own horizon and window arithmetic (see above),
-    # and seed is the CLI's base seed of every task, not one object's field.
+    # CLI rule, for the CLI's own horizon and window arithmetic (see above).
     library = {field.name for cls in (FeatureSpec, IntegrationConfig, ReadoutMatrix)
                for field in dataclasses.fields(cls)}
     library |= set(inspect.signature(on_attractor_state).parameters)
-    assert set(ngrc.cli._RULES) & library == {"dt", "seed"}
+    assert set(ngrc.cli._RULES) & library == {"dt"}
 
 
 def test_transient_time_must_hold_one_transient_step(tmp_path):

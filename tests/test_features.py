@@ -234,6 +234,9 @@ def test_feature_block_rejects_warmup_indices(accurate_lorenz):
     for indices in ([5.7], [4.0, 5.0], [True], np.array([False, True])):
         with pytest.raises(ValueError, match="indices must be integers"):
             feature_block(accurate_lorenz, spec, indices)
+    # an index past the series end is a rejected input too, not an IndexError
+    with pytest.raises(ValueError, match="out of range"):
+        feature_block(accurate_lorenz, spec, [5, accurate_lorenz.n_samples])
 
 
 def test_feature_names_shape_and_uniqueness():

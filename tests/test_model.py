@@ -23,6 +23,7 @@ from ngrc import (
     train_inferrer,
     training_nrmse,
 )
+from ngrc._checks import ConfigError
 
 
 def naive_rollout(model, warmup, n_steps):
@@ -184,6 +185,21 @@ def test_load_model_rejects_indices_it_would_truncate_or_duplicate(lorenz_task, 
             load_model(path)
     path.write_text(json.dumps({**doc, "input_indices": [0, 1.0, 2]}))
     assert load_model(path).input_indices == (0, 1, 2)
+
+
+def test_from_document_rejects_malformed_documents(lorenz_task):
+    # a document that is no model is a rejected input that names its entry,
+    # not a KeyError, AttributeError or TypeError from reading it
+    doc = to_document(lorenz_task.model)
+    without = lambda key: {k: v for k, v in doc.items() if k != key}  # noqa: E731
+    for bad, field in ((without("mode"), "lacks mode"), (without("weights"), "lacks weights"),
+                       ([doc], "JSON object"), ({**doc, "metadata": [1]}, "metadata"),
+                       ({**doc, "input_indices": 3}, "input_indices"),
+                       ({**doc, "weights": {"w": 1}}, "weights"),
+                       ({**doc, "k": "2"}, "k must be an integer"),
+                       ({**doc, "alpha": "x"}, "alpha")):
+        with pytest.raises(ConfigError, match=field):
+            from_document(bad)
 
 
 def test_from_document_checks_output_dim_against_weights(lorenz_task):

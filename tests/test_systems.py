@@ -231,6 +231,10 @@ def test_integration_config_validation():
         (dict(noise_rms=math.inf), "noise_rms"),
         (dict(substeps=2.5), "substeps"),
         (dict(substeps=0), "substeps"),
+        # dt / substeps must be a float
+        (dict(substeps=10**400), "substeps"),
+        # None or a whole number >= 0, as numpy's SeedSequence takes it
+        *((dict(seed=seed), "seed") for seed in (-1, 1.5, "3", True)),
     ]
     for kw, field in cases:
         with pytest.raises(ValueError, match=field):

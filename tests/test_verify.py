@@ -169,6 +169,14 @@ def test_training_nrmse_rejects_a_reloaded_inferrer_with_a_bad_target(accurate_l
         training_nrmse(from_document(doc), accurate_lorenz)
 
 
+def test_training_nrmse_rejects_a_reloaded_inferrer_without_a_target(accurate_lorenz):
+    spec = FeatureSpec(d=2, k=2, s=1, degrees=(2,), include_constant=True)
+    doc = to_document(train_inferrer(accurate_lorenz, (0, 1), 2, spec, 1e-6))
+    del doc["metadata"]["target_index"]
+    with pytest.raises(ConfigError, match="target_index"):
+        training_nrmse(from_document(doc), accurate_lorenz)
+
+
 def test_instantaneous_nrmse_per_sample():
     truth = TimeSeries(dt=0.5, values=np.zeros((3, 2)))
     predicted = TimeSeries(dt=0.5, values=np.array([[0.0, 0.0], [3.0, 4.0], [1.0, 1.0]]))
