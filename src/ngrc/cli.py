@@ -161,6 +161,12 @@ def _library_errors(config: ExperimentConfig, system: SystemDef, d: int) -> list
     return errors
 
 
+# The ground truth is integrated and held in memory whole, so its sample count
+# has a ceiling far above every canonical task (forecast-lorenz's 40,401 is the
+# largest): 10**7 samples of three components are about 240 MB of float64.
+_MAX_TRUTH_SAMPLES = 10**7
+
+
 def _sample_count(time: float, dt: float) -> int | None:
     """The whole number of samples of ``dt`` nearest ``time``; None if it is infinite."""
     steps = time / dt
@@ -254,12 +260,16 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
     if errors:
         raise ConfigError(errors)
     # The ground truth as its runner builds it, once the counts it is made of
-    # are known to be finite: dt must also be short enough for its span, and
-    # the span a float (a huge horizon times many segments overflows it).
+    # are known to be finite: it must fit in memory, and dt must be short
+    # enough for its span to be a finite float.
     n_truth = record.truth_samples(config, system)
+    if n_truth > _MAX_TRUTH_SAMPLES:
+        keys = [key for key in record.truth_keys if settings[key] != record.defaults[key]]
+        raise ConfigError([f"{', '.join(keys)}: the ground truth must hold at most "
+                           f"{_MAX_TRUTH_SAMPLES:,} samples of dt={dt}"])
     try:
         _integration_config(config, system.start, n_truth, method=record.method)
-    except (ConfigError, OverflowError) as exc:
+    except ConfigError as exc:
         raise ConfigError([f"dt: {n_truth} samples of dt={dt} must span a finite time "
                            f"({exc})"]) from exc
     return config
@@ -300,6 +310,9 @@ def _ground_truth(config: ExperimentConfig, system: SystemDef) -> TimeSeries:
                             atol=config["atol"], method=task.method)
     return integrate(system, _integration_config(config, x0, task.truth_samples(config, system),
                                                  method=task.method))
+
+
+_FORECAST_TRUTH_KEYS = ("train_points", "uss_segments", "test_horizon", "return_map_window", "dt")
 
 
 def _forecast_truth_samples(config: ExperimentConfig, system: SystemDef) -> int:
@@ -344,52 +357,79 @@ def _horizon_steps(config: ExperimentConfig, system: SystemDef, key: str) -> int
     return max(1, _sample_count(config[key] * system.lyapunov_time, config["dt"]))
 
 
+def _forecast_window(config: ExperimentConfig, spec: FeatureSpec, truth: TimeSeries, start: int,
+                     n_train: int, n_test: int) -> tuple:
+    """(train, test, model, predicted): the training window of ``truth`` from ``start``,
+    the test window after it, the model fitted on the first and its rollout over the second."""
+    train = truth.segment(start, start + n_train)
+    test = truth.segment(start + n_train, start + n_train + n_test)
+    return (train, test, *_fit_and_forecast(config, spec, train, n_test))
+
+
+def _fit_and_forecast(config: ExperimentConfig, spec: FeatureSpec, train: TimeSeries,
+                      n_steps: int) -> tuple[NgrcModel, TimeSeries]:
+    """The model fitted on ``train`` and its rollout of ``n_steps`` from train's end."""
+    with _stage("train"):
+        model = train_forecaster(train, spec, config["alpha"])
+    with _stage("forecast"):
+        return model, forecast(model, train, n_steps)
+
+
+def _spread(scores) -> dict:
+    """Per-window scores reduced to their mean, std, median, quartiles (numpy's
+    default linear percentiles), min and max, and the count of non-finite scores."""
+    values = np.asarray(scores, dtype=float)
+    with np.errstate(invalid="ignore"):  # a diverged window's inf is counted, not warned of
+        q1, q3 = np.percentile(values, [25, 75])
+        return {"mean": float(values.mean()), "std": float(values.std()),
+                "median": float(np.median(values)), "q1": float(q1), "q3": float(q3),
+                "min": float(values.min()), "max": float(values.max()),
+                "nonfinite": int(np.count_nonzero(~np.isfinite(values)))}
+
+
 def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
                   scaling: ScalingVector, out: Path) -> dict:
     spec = config.feature_spec(system.dim)
     train_points = config["train_points"]
     n_test, n_return, n_forecast = _forecast_steps(config, system)
     n_nrmse = _horizon_steps(config, system, "nrmse_horizon")  # at most n_test
-    uss_segments = config["uss_segments"]
     true_uss = system.steady_states()
 
-    # Segment 0 is the canonical model and runs on for the return map; the
-    # others are retrained on the following training-length windows of the
-    # same trajectory. A rollout that overflows inside its test window is
-    # reported by the first step that holds a non-finite component.
-    segments, valid_times, first_nonfinite, reports = [], [], [], []
-    for seg in range(uss_segments):
-        start, stop = seg * train_points, (seg + 1) * train_points
-        with _stage("train"):
-            train = truth.segment(start, stop)
-            seg_model = train_forecaster(train, spec, config["alpha"])
-        with _stage("forecast"):
-            predicted = forecast(seg_model, train, n_forecast if seg == 0 else n_test)
-        test = truth.segment(stop, stop + n_test)
+    # Segment 0 is the canonical model; its test window and rollout also cover
+    # the return map. The others are retrained on the following training-length
+    # windows of the same trajectory. A rollout that overflows inside its test
+    # window is reported by the first step that holds a non-finite component.
+    valid_times, first_nonfinite, reports = [], [], []
+    for seg in range(config["uss_segments"]):
+        window = _forecast_window(config, spec, truth, seg * train_points, train_points,
+                                  n_forecast if seg == 0 else n_test)
+        _, test, seg_model, predicted = window
         with _stage("verify"):
-            valid_times.append(verify.valid_time(predicted.segment(0, n_test), test, scaling,
+            valid_times.append(verify.valid_time(predicted.segment(0, n_test),
+                                                 test.segment(0, n_test), scaling,
                                                  config["threshold"], system.lyapunov_time))
             nonfinite = np.flatnonzero(~np.isfinite(predicted.values[:n_test]).all(axis=1))
             first_nonfinite.append(int(nonfinite[0]) if nonfinite.size else None)
             reports.append(verify.uss_report(seg_model, true_uss, scaling))
-        segments.append((train, seg_model, predicted, test))
-    train, model, predicted, truth_test = segments[0]
-    pred_test = predicted.segment(0, n_test)
+        if seg == 0:
+            canonical = window
+    train, test, model, predicted = canonical
+    valid_spread = _spread(valid_times)
 
     with _stage("verify"):
         model = _scored(model, train)
-        test_nrmse = verify.nrmse(pred_test.segment(0, n_nrmse),
-                                  truth_test.segment(0, n_nrmse), scaling)
+        test_nrmse = verify.nrmse(predicted.segment(0, n_nrmse), test.segment(0, n_nrmse), scaling)
         uss_doc = []
         for j, entry in enumerate(reports[0]):
             dists = [d for d in (r[j].scaled_distance for r in reports) if d is not None]
+            dispersion = _spread(dists) if dists else {"mean": None, "std": None}
             uss_doc.append({
                 "true_state": [float(v) for v in entry.true_state],
                 "estimated_state": None if entry.estimated_state is None
                 else [float(v) for v in entry.estimated_state],
                 "scaled_distance": entry.scaled_distance,
-                "dispersion_mean": float(np.mean(dists)) if dists else None,
-                "dispersion_std": float(np.std(dists)) if dists else None,
+                "dispersion_mean": dispersion["mean"],
+                "dispersion_std": dispersion["std"],
                 "segments_converged": len(dists),
             })
 
@@ -402,8 +442,9 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
         "test_nrmse": test_nrmse,
         "nrmse_horizon_lyapunov": config["nrmse_horizon"],
         "valid_time_lyapunov": valid_times[0],
-        "valid_time_median": float(np.median(valid_times)),
+        "valid_time_median": valid_spread["median"],
         "valid_times": valid_times,
+        "valid_time_spread": valid_spread,
         "first_nonfinite_steps": first_nonfinite,
         "diverged_segments": sum(step is not None for step in first_nonfinite),
         "threshold": config["threshold"],
@@ -414,8 +455,7 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
     if n_return > 0:
         with _stage("return map"):
             component = system.return_map_component
-            truth_map = verify.extract_return_map(
-                truth.segment(train_points, train_points + n_return), component)
+            truth_map = verify.extract_return_map(test.segment(0, n_return), component)
             pred_map = verify.extract_return_map(predicted.segment(0, n_return), component)
             deviation = verify.return_map_deviation(pred_map, truth_map)
             m_range = float(truth_map.maxima.max() - truth_map.maxima.min())
@@ -433,8 +473,8 @@ def _run_forecast(config: ExperimentConfig, system: SystemDef, truth: TimeSeries
     summary["readout_ranked"] = _ranked_readout(model, system.components)
 
     train.to_csv(out / "train.csv")
-    truth_test.to_csv(out / "truth.csv")
-    pred_test.to_csv(out / "forecast.csv")
+    test.segment(0, n_test).to_csv(out / "truth.csv")
+    predicted.segment(0, n_test).to_csv(out / "forecast.csv")
     save_model(model, out / "model.json")
     return summary
 
@@ -493,36 +533,29 @@ def _run_sweep(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
                scaling: ScalingVector, out: Path) -> dict:
     spec = config.feature_spec(system.dim)
     sizes = sorted(config["sizes"])
-    segments = config["segments"]
     n_horizon, stride = _sweep_steps(config, system)
 
-    rows = []
-    with _stage("sweep"):
-        for size in sizes:
-            cell_errors = []
-            for seg in range(segments):
-                start = seg * stride
-                train = truth.segment(start, start + size)
-                seg_model = train_forecaster(train, spec, config["alpha"])
-                test = truth.segment(start + size, start + size + n_horizon)
-                pred = forecast(seg_model, train, n_horizon)
-                cell_errors.append(verify.nrmse(pred, test, scaling))
-            cell = np.array(cell_errors)
-            rows.append((size, cell.mean(), cell.std(), np.median(cell),
-                         cell.min(), cell.max()))
+    spreads = {}  # by size, as a summary key
+    for size in sizes:
+        errors = []
+        for seg in range(config["segments"]):
+            _, test, _, pred = _forecast_window(config, spec, truth, seg * stride, size, n_horizon)
+            errors.append(verify.nrmse(pred, test, scaling))
+        spreads[str(size)] = _spread(errors)
 
-    table = np.array(rows)
-    np.savetxt(out / "sweep.csv", table, fmt="%.17g", delimiter=",",
+    table = [[size, *(spreads[str(size)][key] for key in ("mean", "std", "median", "min", "max"))]
+             for size in sizes]
+    np.savetxt(out / "sweep.csv", np.array(table), fmt="%.17g", delimiter=",",
                header="train_points,mean_nrmse,std_nrmse,median_nrmse,min_nrmse,max_nrmse")
 
-    by_size = {int(r[0]): float(r[1]) for r in rows}
     return {
         "alpha": config["alpha"],
-        "segments": segments,
+        "segments": config["segments"],
         "nrmse_horizon_lyapunov": config["nrmse_horizon"],
-        "sizes": [int(s) for s in sizes],
-        "mean_nrmse": {str(k): v for k, v in by_size.items()},
-        "std_nrmse": {str(int(r[0])): float(r[2]) for r in rows},
+        "sizes": sizes,
+        "nrmse_spread": spreads,
+        "mean_nrmse": {size: spread["mean"] for size, spread in spreads.items()},
+        "std_nrmse": {size: spread["std"] for size, spread in spreads.items()},
     }
 
 
@@ -538,29 +571,28 @@ def _run_noise(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
     train_points = config["train_points"]
     n_horizon = _horizon_steps(config, system, "rmse_horizon")
     method = TASKS[config.task].method
-    # The ground truth's first sample is the on-attractor state itself.
-    x0 = truth.values[0]
     unscaled = ScalingVector(np.ones(system.dim))
 
-    scaled_rmses, raw_rmses, noisy_stds = [], [], []
     with _stage("noisy training and forecast"):
-        noisy_runs = integrate_noisy(
-            system, _integration_config(config, x0, train_points, noisy=True), config["repeats"])
-        for rep, noisy in enumerate(noisy_runs):
-            noisy_stds.append(noisy.values.std(axis=0))
-            rep_model = train_forecaster(noisy, spec, config["alpha"])
-            start = noisy.values[-1]
-            noise_free = integrate(system, _integration_config(
-                config, start, n_horizon + 1, t0=noisy.times[-1], method=method))
-            pred = forecast(rep_model, noisy, n_horizon)
-            truth_after = noise_free.segment(1, n_horizon + 1)
-            scaled_rmses.append(verify.nrmse(pred, truth_after, scaling))
-            raw_rmses.append(verify.nrmse(pred, truth_after, unscaled))
-            if rep == 0:
-                noisy.to_csv(out / "train_noisy.csv")
-                truth_after.to_csv(out / "truth_noise_free.csv")
-                pred.to_csv(out / "forecast.csv")
-                save_model(_scored(rep_model, noisy), out / "model.json")
+        # The ground truth's first sample is the on-attractor state itself.
+        noisy_runs = integrate_noisy(system, _integration_config(
+            config, truth.values[0], train_points, noisy=True), config["repeats"])
+        noise_free = [integrate(system, _integration_config(
+            config, noisy.values[-1], n_horizon + 1, t0=noisy.times[-1], method=method))
+            for noisy in noisy_runs]
+    scaled_rmses, raw_rmses, noisy_stds = [], [], []
+    for rep, (noisy, flow) in enumerate(zip(noisy_runs, noise_free)):
+        noisy_stds.append(noisy.values.std(axis=0))
+        rep_model, pred = _fit_and_forecast(config, spec, noisy, n_horizon)
+        truth_after = flow.segment(1, n_horizon + 1)
+        scaled_rmses.append(verify.nrmse(pred, truth_after, scaling))
+        raw_rmses.append(verify.nrmse(pred, truth_after, unscaled))
+        if rep == 0:
+            noisy.to_csv(out / "train_noisy.csv")
+            truth_after.to_csv(out / "truth_noise_free.csv")
+            pred.to_csv(out / "forecast.csv")
+            save_model(_scored(rep_model, noisy), out / "model.json")
+    scaled_spread = _spread(scaled_rmses)
 
     return {
         "alpha": config["alpha"],
@@ -568,9 +600,10 @@ def _run_noise(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
         "train_points": train_points,
         "repeats": config["repeats"],
         "rmse_horizon_lyapunov": config["rmse_horizon"],
-        "scaled_rmse_median": float(np.median(scaled_rmses)),
+        "scaled_rmse_median": scaled_spread["median"],
         "scaled_rmse_values": [float(v) for v in scaled_rmses],
-        "raw_rmse_median": float(np.median(raw_rmses)),
+        "scaled_rmse_spread": scaled_spread,
+        "raw_rmse_median": _spread(raw_rmses)["median"],
         "raw_rmse_values": [float(v) for v in raw_rmses],
         "noisy_component_std_mean": [float(v) for v in np.mean(noisy_stds, axis=0)],
         "noise_free_component_std": [float(v) for v in scaling.values],
@@ -639,6 +672,7 @@ class _Task:
     # ``_ground_truth`` integrates this many, and ``resolve_config`` builds the
     # same IntegrationConfig, so a dt that this span overflows fails validation.
     truth_samples: Callable[[ExperimentConfig, SystemDef], int] | None = None
+    truth_keys: tuple[str, ...] = ()  # the keys that truth_samples reads
 
 
 # Every task, with its defaults. A task with a system gets a ground truth,
@@ -652,7 +686,8 @@ TASKS: dict[str, _Task] = {
     "forecast-lorenz": _Task(
         defaults=dict(_FORECAST_KEYS),
         runner=_run_forecast, system=lorenz63, method="RK23",
-        truth_samples=_forecast_truth_samples, headline=_forecast_headline),
+        truth_samples=_forecast_truth_samples, truth_keys=_FORECAST_TRUTH_KEYS,
+        headline=_forecast_headline),
     "forecast-doublescroll": _Task(
         defaults={
             **_FORECAST_KEYS,
@@ -663,7 +698,8 @@ TASKS: dict[str, _Task] = {
             "return_map_window": 0.0,
         },
         runner=_run_forecast, system=double_scroll, method="RK23",
-        truth_samples=_forecast_truth_samples, headline=_forecast_headline),
+        truth_samples=_forecast_truth_samples, truth_keys=_FORECAST_TRUTH_KEYS,
+        headline=_forecast_headline),
     "infer-lorenz": _Task(
         defaults={
             **_INTEGRATION_KEYS,
@@ -688,6 +724,7 @@ TASKS: dict[str, _Task] = {
         },
         runner=_run_infer, system=lorenz63, method="RK23",
         truth_samples=lambda config, system: config["train_points"] + config["test_points"],
+        truth_keys=("train_points", "test_points"),
         headline=lambda summary: (f"train NRMSE {summary['train_nrmse']:.2e}, "
                                   f"test NRMSE {summary['test_nrmse']:.2e} "
                                   f"(ratio {summary['test_to_train_ratio']:.2f})")),
@@ -706,6 +743,7 @@ TASKS: dict[str, _Task] = {
         runner=_run_sweep, system=lorenz63, method="RK23",
         truth_samples=lambda config, system: (
             config["segments"] * _sweep_steps(config, system)[1] + 1),
+        truth_keys=("segments", "sizes", "nrmse_horizon", "dt"),
         headline=_sweep_headline),
     "noise-lorenz": _Task(
         defaults={

@@ -1,6 +1,7 @@
 """Shared fixtures: each canonical run, made once per session for the
 byte-identity and acceptance tests, and segment 0 of the forecast tasks,
-built from the same config, system and ground truth as their canonical run.
+cut, fitted and rolled out by the runner's window routine from the same
+config, system and ground truth as their canonical run.
 """
 
 import json
@@ -19,11 +20,9 @@ from ngrc import (
     ScalingVector,
     SystemDef,
     TimeSeries,
-    forecast,
     integrate,
     lorenz63,
     on_attractor_state,
-    train_forecaster,
 )
 from ngrc import cli
 from ngrc.systems import IntegrationConfig
@@ -95,12 +94,12 @@ def _forecast_task(task: str) -> ForecastTask:
     mother = cli._ground_truth(config, system)
     n_test, _, n_forecast = cli._forecast_steps(config, system)
     spec = config.feature_spec(system.dim)
-    train = mother.segment(0, config["train_points"])
-    model = train_forecaster(train, spec, config["alpha"])
+    train, _, model, predicted = cli._forecast_window(config, spec, mother, 0,
+                                                      config["train_points"], n_forecast)
     return ForecastTask(
         system=system, spec=spec, alpha=config["alpha"], mother=mother,
         scaling=ScalingVector.from_series(mother), train=train, model=model,
-        predicted=forecast(model, train, n_forecast), n_test=n_test,
+        predicted=predicted, n_test=n_test,
     )
 
 

@@ -104,6 +104,13 @@ def test_every_resolved_key_is_read_by_its_run(task, tmp_path):
     ngrc.cli.run_experiment(dataclasses.replace(config, settings=settings))
     resolved = json.loads((tmp_path / "resolved-config.json").read_text())
     assert set(resolved) - {"task"} <= settings.read
+    # the keys that a too long ground truth's config error may name are the
+    # keys that its length is read from
+    record = TASKS[task]
+    if record.system is not None:
+        settings = _ReadRecorder(config.settings)
+        record.truth_samples(dataclasses.replace(config, settings=settings), record.system())
+        assert settings.read == set(record.truth_keys)
 
 
 def test_resolve_config_overrides_and_document_roundtrip():
@@ -207,9 +214,14 @@ def test_resolve_config_type_strictness(tmp_path):
         ({"task": "noise-lorenz", "substeps": 10**400}, "substeps"),
         ({"task": "forecast-lorenz", "train_points": 10**200, "uss_segments": 10**200},
          "train_points"),
-        # ... and so must the ground truth's span, a horizon times many segments
+        # ... and the ground truth must fit in memory: the error names the keys
+        # that set its length, and not the default dt
+        ({"task": "sweep-trainsize", "nrmse_horizon": 1e300},
+         r"^nrmse_horizon: the ground truth must hold at most 10,000,000 samples"),
         ({"task": "sweep-trainsize", "segments": 2**50, "nrmse_horizon": 1e300},
-         "dt: .* must span a finite time"),
+         r"^segments, nrmse_horizon: the ground truth must hold at most 10,000,000 samples "
+         r"of dt=0.025$"),
+        ({"task": "forecast-lorenz", "dt": 1e-6}, "^dt: the ground truth must hold at most"),
         # the NRMSE is scored inside the test window, not past it
         ({"task": "forecast-lorenz", "test_horizon": 1.0, "nrmse_horizon": 3.0},
          "nrmse_horizon: must not exceed test_horizon"),
@@ -311,6 +323,46 @@ def assert_matches_tracked_run(task, out):
     assert sorted(p.name for p in out.iterdir()) == [p.name for p in tracked]
     for path in tracked:
         assert (out / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+# Each windowed task's spread block, the summary key that it replaces, and the
+# per-window values of that key.
+_SPREAD_BLOCKS = {
+    "forecast-lorenz": ("valid_time_spread", "valid_time_median", "valid_times"),
+    "forecast-doublescroll": ("valid_time_spread", "valid_time_median", "valid_times"),
+    "noise-lorenz": ("scaled_rmse_spread", "scaled_rmse_median", "scaled_rmse_values"),
+}
+
+
+@pytest.mark.parametrize("task", [*_SPREAD_BLOCKS, "sweep-trainsize"])
+def test_spread_blocks_hold_the_values_that_the_summary_reports(task, canonical_run):
+    run = canonical_run(task)
+    summary = run.summary
+    if task == "sweep-trainsize":
+        table = np.loadtxt(run.out / "sweep.csv", delimiter=",", ndmin=2)
+        blocks = list(summary["nrmse_spread"].values())
+        assert list(summary["nrmse_spread"]) == [str(size) for size in summary["sizes"]]
+        for row, block, size in zip(table, blocks, summary["sizes"]):
+            assert block["mean"] == summary["mean_nrmse"][str(size)]
+            assert block["std"] == summary["std_nrmse"][str(size)]
+            columns = [block[key] for key in ("mean", "std", "median", "min", "max")]
+            assert list(row) == [size, *columns]
+    else:
+        key, median_key, values = _SPREAD_BLOCKS[task]
+        blocks = [summary[key]]
+        assert blocks[0]["median"] == summary[median_key] == np.median(summary[values])
+    for block in blocks:
+        assert list(block) == ["mean", "std", "median", "q1", "q3", "min", "max", "nonfinite"]
+        assert block["q1"] <= block["median"] <= block["q3"]
+        assert block["nonfinite"] == 0
+
+
+def test_spread_counts_nonfinite_scores():
+    spread = ngrc.cli._spread([1.0, np.inf, np.nan, 2.0])
+    assert spread["nonfinite"] == 2
+    assert ngrc.cli._spread([3.0, 1.0, 2.0, 4.0]) == {
+        "mean": 2.5, "std": np.std([1, 2, 3, 4]), "median": 2.5, "q1": 1.75, "q3": 3.25,
+        "min": 1.0, "max": 4.0, "nonfinite": 0}
 
 
 def subprocess_env(**variables):
@@ -625,12 +677,15 @@ def test_main_reports_a_diverging_noisy_ensemble_as_numerical(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error")
 def test_main_reports_an_overflowing_readout_as_numerical(tmp_path, capsys):
-    # a finite constant feature whose square in the Gram matrix overflows
-    config = write_config(tmp_path, {"task": "forecast-lorenz", "constant_value": 1e160})
-    assert main(["validate", config, "--quiet"]) == 0
-    assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
-    assert capsys.readouterr().err.startswith(
-        "numerical failure: stage 'train': normal equations overflow")
+    # a finite constant feature whose square in the Gram matrix overflows; every
+    # runner fits through the one window routine, under the one stage 'train'
+    for task in ("forecast-lorenz", "sweep-trainsize", "noise-lorenz"):
+        config = write_config(tmp_path, {"task": task, "constant_value": 1e160}, f"{task}.json")
+        assert main(["validate", config, "--quiet"]) == 0
+        assert main(["run", config, "--out", str(tmp_path / task), "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: stage 'train': normal equations overflow")
+        assert err.count("stage '") == 1, task
 
 
 def integration_config(dt=0.025, **kw):
