@@ -63,6 +63,12 @@ def integer(name: str, value, least: int):
     return f"{name} must be >= {least}, got {value}" if value < least else None
 
 
+def count(name: str, value):
+    """A whole number from 1 to MAX_COUNT."""
+    return integer(name, value, 1) or (
+        f"{name} must be <= 2**53, got {value}" if value > MAX_COUNT else None)
+
+
 def integers(name: str, values, least: int):
     """A sequence of whole numbers, each at least ``least``."""
     if not all(map(_whole, values)):

@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, verify
-from ._checks import MAX_COUNT, ConfigError, NumericalError
+from ._checks import ConfigError, NumericalError, count, number
 from .features import FeatureSpec, feature_length, feature_names
 from .model import (
     NgrcModel,
     forecast,
     infer,
+    inference_components,
     save_model,
     train_forecaster,
     train_inferrer,
@@ -116,40 +117,37 @@ def _has_type(value, default) -> bool:
     return isinstance(value, type(default))
 
 
-_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
-# A count times dt is a time span: the count must be exact in a float.
-_COUNT = (lambda v: 1 <= v <= MAX_COUNT, "must be >= 1 and <= 2**53")
-_ANY_VALUE = (lambda v: True, None)
-
-# One (holds, message) rule per CLI-only key that has an invariant beyond its
-# type; the library objects built in resolve_config check the other keys.
+# One checker per CLI-only key that has an invariant beyond its type; the
+# library objects built in resolve_config check the other keys.
 _RULES = {
     **dict.fromkeys(("test_horizon", "nrmse_horizon", "rmse_horizon", "threshold",
-                     "return_map_window", "target"), _NONNEGATIVE),
+                     "return_map_window"), lambda key, v: number(key, v, 0.0)),
     **dict.fromkeys(("train_points", "test_points", "repeats", "segments", "uss_segments"),
-                    _COUNT),
+                    count),
     # IntegrationConfig checks dt > 0; the horizon and window arithmetic here
     # also needs finitely many samples per time unit, which a subnormal lacks
-    "dt": (lambda v: v <= 0 or 1 / v < math.inf, "must be positive with a finite reciprocal"),
-    "sizes": (lambda v: v and min(v) >= 10 and max(v) <= MAX_COUNT and len(set(v)) == len(v),
-              "expected a non-empty list of distinct integers from 10 to 2**53"),
-    "observed": (lambda v: v and min(v) >= 0 and len(set(v)) == len(v),
-                 "expected a non-empty list of distinct component indices"),
+    "dt": lambda key, v: (f"{key}: must be positive with a finite reciprocal, got {v!r}"
+                          if v > 0 and 1 / v == math.inf else None),
+    "sizes": lambda key, v: (f"{key} must be one or more distinct counts >= 10, got {v}"
+                             if not v or len(set(v)) < len(v) or min(v) < 10
+                             else next(filter(None, (count(key, n) for n in v)), None)),
 }
 
 
-def _library_errors(config: ExperimentConfig, system: SystemDef, d: int) -> list[str]:
+def _library_errors(config: ExperimentConfig, system: SystemDef) -> list[str]:
     """The messages of the library objects that the task's runner builds, built as it
-    builds them but with the system's start point and two samples for its data.
+    builds them but with the system's dimension, start point and two samples for its data.
     ``resolve_config`` builds the ground truth's span after the cross-key rules."""
     builders = {
-        "degrees": lambda: config.feature_spec(d),
+        "degrees": lambda: config.feature_spec(system.dim),
         "alpha": lambda: ReadoutMatrix(np.zeros((1, 1)), config["alpha"]),
         "transient_time": lambda: transient_config(system, config["transient_time"],
                                                    config["rtol"], config["atol"],
                                                    TASKS[config.task].method),
         "dt": lambda: _integration_config(config, system.start, 2,
                                           noisy="noise_rms" in config.settings),
+        "observed": lambda: inference_components(config["observed"], config["target"],
+                                                 system.dim),
     }
     errors = []
     for key, build in builders.items():
@@ -202,9 +200,8 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
             continue
         if isinstance(default, float):
             value = float(value)
-        holds, message = _RULES.get(key, _ANY_VALUE)
-        if not holds(value):
-            errors.append(f"{key}: {message}, got {value!r}")
+        if problem := _RULES.get(key, lambda key, v: None)(key, value):
+            errors.append(problem)
             continue
         settings[key] = value
 
@@ -216,25 +213,15 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
         errors.append(f"out_dir: {existing} exists and is not a directory")
     if record.system is not None:
         system = record.system()
-        # the model sees the observed components only
-        d = len(settings["observed"]) if "observed" in settings else system.dim
-        errors += _library_errors(config, system, d)
+        errors += _library_errors(config, system)
     if errors:
         raise ConfigError(errors)
     if record.system is None:
         return config
 
     # Rules across keys, once every key is valid on its own.
-    if "observed" in settings:
-        observed, target = settings["observed"], settings["target"]
-        if target in observed:
-            errors.append("target: must not be among the observed components")
-        for key, indices in (("observed", observed), ("target", [target])):
-            if max(indices) >= system.dim:
-                errors.append(f"{key}: component indices must be < {system.dim}, "
-                              f"got {settings[key]}")
     if "degrees" in settings:
-        spec = config.feature_spec(d)
+        spec = config.feature_spec(system.dim)
         # Every window needs one full delay window per feature vector; a
         # forecaster also needs the sample after it as a target.
         need = spec.warmup_index + (1 if "observed" in settings else 2)
@@ -573,7 +560,7 @@ def _run_noise(config: ExperimentConfig, system: SystemDef, truth: TimeSeries,
     method = TASKS[config.task].method
     unscaled = ScalingVector(np.ones(system.dim))
 
-    with _stage("noisy training and forecast"):
+    with _stage("integrate noisy ensemble"):
         # The ground truth's first sample is the on-attractor state itself.
         noisy_runs = integrate_noisy(system, _integration_config(
             config, truth.values[0], train_points, noisy=True), config["repeats"])

@@ -10,12 +10,12 @@ with each degree block enumerated by the non-decreasing exponent tuples of
 :func:`monomial_exponent_table`. Every trained readout matrix is laid out
 against this ordering.
 
-One cached, read-only index table decides that layout: row j lists the
-``pmax`` entries of ``ext = [1.0, constant_value, lin...]`` whose product is
-feature j, where ``pmax`` is the highest degree and at least 2. The constant
-is ``(1, 0, ...)``, linear entry a is ``(2 + a, 0, ...)``, and each monomial
-is its exponent tuple shifted by 2 and padded with 0 (the 1.0). The feature
-count and names come from it too.
+One index table, cached as its read-only columns, decides that layout: row j
+lists the ``pmax`` entries of ``ext = [1.0, constant_value, lin...]`` whose
+product is feature j, where ``pmax`` is the highest degree and at least 2. The
+constant is ``(1, 0, ...)``, linear entry a is ``(2 + a, 0, ...)``, and each
+monomial is its exponent tuple shifted by 2 and padded with 0 (the 1.0). The
+feature count and names come from it too.
 
 One loop builds every feature: ``_multiply_columns`` multiplies the table's
 columns of ``ext`` left to right. :func:`total_features` maps one linear
@@ -87,21 +87,15 @@ class FeatureSpec:
 
 
 @lru_cache(maxsize=128)
-def _layout(spec: FeatureSpec) -> np.ndarray:
-    """The (n_features, pmax) layout table; see the module docstring."""
+def _columns(spec: FeatureSpec) -> tuple[np.ndarray, ...]:
+    """The columns of the (n_features, pmax) layout table, each contiguous and
+    read-only; see the module docstring."""
     # two columns at least, so that a product always starts from two factors
     n, pmax = spec.n_linear, max((2, *spec.degrees))
     rows = [(1,)] * spec.include_constant + [(2 + a,) for a in range(n)]
     rows += [tuple(2 + a for a in t) for p in spec.degrees for t in monomial_exponent_table(n, p)]
     table = np.array([row + (0,) * (pmax - len(row)) for row in rows], dtype=np.intp)
-    table.flags.writeable = False
-    return table
-
-
-@lru_cache(maxsize=128)
-def _columns(spec: FeatureSpec) -> tuple[np.ndarray, ...]:
-    """The layout table's columns, each contiguous and read-only."""
-    columns = tuple(np.ascontiguousarray(column) for column in _layout(spec).T)
+    columns = tuple(np.ascontiguousarray(column) for column in table.T)
     for column in columns:
         column.flags.writeable = False
     return columns
@@ -109,7 +103,7 @@ def _columns(spec: FeatureSpec) -> tuple[np.ndarray, ...]:
 
 def feature_length(spec: FeatureSpec) -> int:
     """Total feature-vector length: the rows of the layout table."""
-    return _layout(spec).shape[0]
+    return _columns(spec)[0].size
 
 
 def monomial_exponent_table(n_vars: int, p: int) -> list[tuple[int, ...]]:
@@ -221,4 +215,4 @@ def feature_names(spec: FeatureSpec, components: list[str] | None = None) -> lis
     lin_names = [name + ("[t]" if j == 0 else f"[t-{j * spec.s}]")
                  for j in range(spec.k) for name in components]
     labels = ["", "const", *lin_names]
-    return ["*".join(labels[i] for i in row if i) for row in _layout(spec)]
+    return ["*".join(labels[i] for i in row if i) for row in zip(*_columns(spec))]

@@ -161,25 +161,33 @@ def train_inferrer(series: TimeSeries, observed, target: int, spec: FeatureSpec,
     target index and the number of training samples;
     :func:`ngrc.verify.training_nrmse` scores the fit.
     """
+    observed, target = inference_components(observed, target, series.n_components)
+    obs_series = series.select(observed)
+    idx = _training_indices(spec, series.n_samples, need_target=False)
+    feats = feature_block(obs_series, spec, idx)  # rejects a spec whose d is not len(observed)
+    targets = series.values[idx, target][None, :]
+    readout = ridge_fit(TrainingBlock(feats, targets), alpha)
+    return trusted(NgrcModel, spec=spec, readout=readout, mode=Mode.INFERENCE_DIRECT,
+                   input_indices=observed,
+                   metadata={"target_index": target, "train_samples": int(len(idx))})
+
+
+def inference_components(observed, target, n_components: int) -> tuple[tuple[int, ...], int]:
+    """``observed`` and ``target`` as ints, if they are one or more distinct observed
+    components and a target that is not among them, all in [0, n_components)."""
     observed = tuple(observed)
-    reject(integers("observed", observed, -inf), integer("target", target, -inf))
+    reject(integers("observed", observed, -inf)
+           or (not observed or len(set(observed)) < len(observed))
+           and f"observed must be one or more distinct components, got {observed}",
+           integer("target", target, -inf))
     observed, target = tuple(map(int, observed)), int(target)
     reject(target in observed
            and f"target component {target} must not be among the observed {observed}",
-           not all(0 <= i < series.n_components for i in (*observed, target))
-           and f"component index out of range for series with {series.n_components} components")
-    obs_series = series.select(observed)
-    idx = _training_indices(spec, series.n_samples, need_target=False)
-    feats = feature_block(obs_series, spec, idx)
-    targets = series.values[idx, target][None, :]
-    readout = ridge_fit(TrainingBlock(feats, targets), alpha)
-    return NgrcModel(
-        spec=spec,
-        readout=readout,
-        mode=Mode.INFERENCE_DIRECT,
-        input_indices=observed,
-        metadata={"target_index": target, "train_samples": int(len(idx))},
-    )
+           not all(0 <= i < n_components for i in observed)
+           and f"observed components {observed} out of range for {n_components} components",
+           not 0 <= target < n_components
+           and f"target component {target} out of range for {n_components} components")
+    return observed, target
 
 
 def infer(model: NgrcModel, series: TimeSeries) -> TimeSeries:

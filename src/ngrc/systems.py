@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import _dop853
-from ._checks import MAX_COUNT, NumericalError, integer, number, one_of, reject
+from ._checks import NumericalError, count, integer, number, one_of, reject
 from .timeseries import TimeSeries
 
 
@@ -106,8 +106,7 @@ class IntegrationConfig:
                number("integration tolerances: atol", self.atol, 0.0, open_low=True),
                number("noise_rms", self.noise_rms, 0.0),
                self.seed is not None and integer("seed", self.seed, 0),
-               integer("substeps", self.substeps, 1)
-               or self.substeps > MAX_COUNT and f"substeps must be <= 2**53, got {self.substeps}",
+               count("substeps", self.substeps),
                one_of("method", self.method, tuple(_PAIRS)),
                (state.ndim != 1 or not np.isfinite(state).all())
                and f"initial_state must be a finite 1-D vector, got {state}")

@@ -32,9 +32,6 @@ class TimeSeries:
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
     @property
     def n_samples(self) -> int:
         return self.values.shape[0]

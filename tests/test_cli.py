@@ -30,6 +30,7 @@ from ngrc import (
     load_model,
     on_attractor_state,
     ridge_fit,
+    train_inferrer,
 )
 from ngrc.cli import (
     TASKS,
@@ -38,7 +39,7 @@ from ngrc.cli import (
     resolve_config,
     validate_config,
 )
-from ngrc._checks import NumericalError
+from ngrc._checks import NumericalError, count
 from ngrc.systems import transient_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -671,7 +672,7 @@ def test_main_reports_a_diverging_noisy_ensemble_as_numerical(tmp_path, capsys):
         assert main(["run", config, "--out", str(tmp_path / "out"), "--quiet"]) == 3
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     err = capsys.readouterr().err
-    assert err == ("numerical failure: stage 'noisy training and forecast': "
+    assert err == ("numerical failure: stage 'integrate noisy ensemble': "
                    "noisy path 1 of lorenz63 is not finite at t = 0.35\n")
 
 
@@ -744,7 +745,50 @@ def test_cli_rules_leave_library_parameters_to_the_library():
     library = {field.name for cls in (FeatureSpec, IntegrationConfig, ReadoutMatrix)
                for field in dataclasses.fields(cls)}
     library |= set(inspect.signature(on_attractor_state).parameters)
+    library |= set(inspect.signature(train_inferrer).parameters)
     assert set(ngrc.cli._RULES) & library == {"dt"}
+
+
+def test_validate_accepts_exactly_the_components_that_train_inferrer_accepts(tmp_path):
+    # the inferrer's components are checked by one library checker, which
+    # validate calls; JSON types that are no list of integers stop earlier
+    series = TimeSeries(dt=0.025, values=np.random.default_rng(3).normal(size=(40, 3)))
+    observed_grid = [[], [0], [0, 1], [1, 1], [-1, 1], [0.5, 1], [True, 1], [0, 3], [2, 0]]
+    target_grid = [2, 0, 1, -1, 3, 1.5, True]
+    accepted = 0
+    for i, (observed, target) in enumerate((o, t) for o in observed_grid for t in target_grid):
+        spec = FeatureSpec(d=max(1, len(observed)), k=2, degrees=(2,))
+        try:
+            train_inferrer(series, observed, target, spec, 1e-6)
+        except ValueError:
+            runs = False
+        else:
+            runs = True
+        doc = {"task": "infer-lorenz", "observed": observed, "target": target}
+        code = main(["validate", write_config(tmp_path, doc, f"{i}.json"), "--quiet"])
+        assert code == (0 if runs else 2), (observed, target)
+        accepted += runs
+    # [0] or [0, 1] with target 1 or 2, [0, 1] with 2, and [2, 0] with 1
+    assert accepted == 4
+
+
+def test_counts_of_the_cli_and_the_library_reject_the_same_values(tmp_path):
+    # one rule, 1 <= n <= 2**53, for substeps (a library parameter) and for
+    # the CLI's counts; a fractional or boolean count is refused, not truncated
+    for i, value in enumerate([0, -1, 2**53 + 1, 1.5, True]):
+        with pytest.raises(ValueError, match="substeps"):
+            integration_config(substeps=value)
+        for task, key in (("noise-lorenz", "substeps"), ("forecast-lorenz", "train_points")):
+            doc = {"task": task, key: value}
+            with pytest.raises(ConfigError, match=f"^{key}"):
+                resolve_config(doc)
+            assert main(["validate", write_config(tmp_path, doc, f"{i}.json"), "--quiet"]) == 2
+    assert count("n", 1) is count("n", 2**53) is None
+    assert integration_config(substeps=2**53).substeps == 2**53
+    # every CLI rule is a checker that holds for the task defaults
+    for key, rule in ngrc.cli._RULES.items():
+        default = next(task.defaults[key] for task in TASKS.values() if key in task.defaults)
+        assert rule(key, default) is None, key
 
 
 def test_transient_time_must_hold_one_transient_step(tmp_path):
