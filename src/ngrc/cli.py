@@ -120,8 +120,8 @@ def _has_type(value, default) -> bool:
 # One checker per CLI-only key that has an invariant beyond its type; the
 # library objects built in resolve_config check the other keys.
 _RULES = {
-    **dict.fromkeys(("test_horizon", "nrmse_horizon", "rmse_horizon", "threshold",
-                     "return_map_window"), lambda key, v: number(key, v, 0.0)),
+    **dict.fromkeys(("test_horizon", "nrmse_horizon", "rmse_horizon", "return_map_window"),
+                    lambda key, v: number(key, v, 0.0)),
     **dict.fromkeys(("train_points", "test_points", "repeats", "segments", "uss_segments"),
                     count),
     # IntegrationConfig checks dt > 0; the horizon and window arithmetic here
@@ -148,6 +148,7 @@ def _library_errors(config: ExperimentConfig, system: SystemDef) -> list[str]:
                                           noisy="noise_rms" in config.settings),
         "observed": lambda: inference_components(config["observed"], config["target"],
                                                  system.dim),
+        "threshold": lambda: verify.check_valid_time(config["threshold"], system.lyapunov_time),
     }
     errors = []
     for key, build in builders.items():
@@ -161,7 +162,7 @@ def _library_errors(config: ExperimentConfig, system: SystemDef) -> list[str]:
 
 # The ground truth is integrated and held in memory whole, so its sample count
 # has a ceiling far above every canonical task (forecast-lorenz's 40,401 is the
-# largest): 10**7 samples of three components are about 240 MB of float64.
+# largest). Integrating it peaks at values plus grid, 32 B a sample of 3 components: 320 MB.
 _MAX_TRUTH_SAMPLES = 10**7
 
 

@@ -33,14 +33,13 @@ together as one ensemble.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _dop853
-from ._checks import NumericalError, count, integer, number, one_of, reject
+from ._checks import NumericalError, count, integer, number, one_of, reject, trusted
 from .timeseries import TimeSeries
 
 
@@ -356,7 +355,8 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
     chains, which Python arithmetic does not round alike; every other
     operation is elementwise and rounds the same on floats as on arrays.
     Both pairs share this loop, its step controller and its initial-step
-    rule; they differ in the tableau, the error norm and the sampling.
+    rule; they differ in the tableau, the error norm and the sampling. Grid
+    times are read from the array one at a time: ``next_time``, the first after t.
 
     RK23 samples in batches. Each accepted step that holds grid times has
     its stages, sample bounds, start time, size and start state copied into
@@ -371,10 +371,9 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
     a few kilobytes, whatever the length of the run, and the batch
     temporaries stay small.
     """
-    times = grid.tolist()
-    t, t_end = times[0], times[-1]
+    t, t_end = grid.item(0), grid.item(-1)
     rtol = max(rtol, _MIN_RTOL)
-    out = np.empty((len(times), y0.size))
+    out = np.empty((grid.size, y0.size))
     y = y0.tolist()
     f = rhs(y)
     if not np.all(np.isfinite(f)):
@@ -398,10 +397,12 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
         chunk_bounds = np.empty((chunk, 2), dtype=np.intp)
         chunk_steps = np.empty((chunk, 2 + y0.size))
     # A landing pair samples the start itself; RK23's interpolant samples it.
-    sampled = 0 if P is not None else bisect_right(times, t)
+    sampled = 0 if P is not None else int(np.searchsorted(grid, t, "right"))
     out[:sampled] = y
+    times = map(float, grid[sampled:])  # stop counts the grid times <= t
+    stop, next_time = sampled, next(times, math.inf)
     while t < t_end:
-        bound = t_end if P is not None else times[sampled]
+        bound = t_end if P is not None else next_time
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
         rejected = False
@@ -435,7 +436,8 @@ def _runge_kutta(pair: _RungeKuttaPair, rhs, grid: np.ndarray, y0: np.ndarray,
             rejected = True
         t_old, y_old = t, y
         t, y, f = t_new, y_new, f_new
-        stop = bisect_right(times, t, sampled)
+        while next_time <= t:
+            stop, next_time = stop + 1, next(times, math.inf)
         if stop > sampled:
             if P is None:
                 out[sampled:stop] = y
@@ -477,7 +479,8 @@ def integrate(system: SystemDef, config: IntegrationConfig) -> TimeSeries:
     grid = config.grid()
     values = _runge_kutta(_PAIRS[config.method], system.rhs, grid, config.initial_state,
                           config.rtol, config.atol)
-    return TimeSeries(dt=config.dt, values=values, t0=float(grid[0]))
+    values.setflags(write=False)  # config has checked dt and t0; values is (len(grid), dim)
+    return trusted(TimeSeries, dt=config.dt, values=values, t0=float(grid[0]))
 
 
 def integrate_noisy(system: SystemDef, config: IntegrationConfig,

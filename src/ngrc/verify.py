@@ -129,16 +129,20 @@ def instantaneous_nrmse(predicted: TimeSeries, truth: TimeSeries,
         return np.sqrt(np.mean(err**2, axis=1))
 
 
+def check_valid_time(threshold: float, lyapunov_time: float) -> None:
+    """``valid_time``'s rule: a finite threshold >= 0 and a finite Lyapunov time > 0."""
+    reject(number("threshold", threshold, 0.0),
+           number("lyapunov_time", lyapunov_time, 0.0, open_low=True))
+
+
 def valid_time(predicted: TimeSeries, truth: TimeSeries, scaling: ScalingVector,
                threshold: float, lyapunov_time: float) -> float:
     """Elapsed time before the scaled error first exceeds the threshold.
 
-    Returned in Lyapunov units. If the error never exceeds the threshold
-    the full window length is returned. The threshold must be nonnegative
-    and the Lyapunov time positive, both finite.
+    Returned in Lyapunov units, and the full window length if the error
+    never exceeds the threshold. The last two arguments pass ``check_valid_time``.
     """
-    reject(number("threshold", threshold, 0.0),
-           number("lyapunov_time", lyapunov_time, 0.0, open_low=True))
+    check_valid_time(threshold, lyapunov_time)
     errors = instantaneous_nrmse(predicted, truth, scaling)
     exceeded = np.nonzero(~(errors <= threshold))[0]  # NaN counts as exceeded
     if exceeded.size == 0:
@@ -285,25 +289,25 @@ def _refine_maxima(stencils: np.ndarray) -> np.ndarray:
     return values.max(axis=1)
 
 
-# Predicted pairs per block in return_map_deviation; a block's squared
-# distances fill a (_DEVIATION_ROWS, n_truth) array.
-_DEVIATION_ROWS = 64
+# Entries in each (rows, n_truth) array of a return_map_deviation block (64 KiB)
+_DEVIATION_ENTRIES = 2**13
 
 
 def return_map_deviation(predicted: ReturnMap, truth: ReturnMap) -> float:
     """Mean distance from each predicted map point to its nearest truth point.
 
-    Exact, in memory linear in the inputs. The squared distances are formed
-    one block of predicted pairs at a time as dx*dx + dy*dy, the operations
-    and order of a full (n_pred, n_truth) table, and the square root of a
-    row minimum is the minimum of the row's square roots, so the result has
-    the same bits as that table would give. A NaN maximum gives NaN.
+    Exact, in memory linear in the inputs. The squared distances dx*dx +
+    dy*dy are formed as a full (n_pred, n_truth) table forms them, in blocks
+    of as many predicted pairs as fit in ``_DEVIATION_ENTRIES`` entries (at
+    least one); the square root of a row minimum is the minimum of the row's
+    square roots, so the result has that table's bits. A NaN maximum gives NaN.
     """
     px, py = predicted.maxima[:-1], predicted.maxima[1:]
     tx, ty = truth.maxima[:-1], truth.maxima[1:]
     nearest = np.empty(px.size)
-    for start in range(0, px.size, _DEVIATION_ROWS):
-        rows = slice(start, start + _DEVIATION_ROWS)
+    block = max(1, _DEVIATION_ENTRIES // tx.size)
+    for start in range(0, px.size, block):
+        rows = slice(start, start + block)
         dx = px[rows, None] - tx
         dy = py[rows, None] - ty
         nearest[rows] = (dx * dx + dy * dy).min(axis=1)

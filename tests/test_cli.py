@@ -31,6 +31,7 @@ from ngrc import (
     on_attractor_state,
     ridge_fit,
     train_inferrer,
+    valid_time,
 )
 from ngrc.cli import (
     TASKS,
@@ -746,7 +747,12 @@ def test_cli_rules_leave_library_parameters_to_the_library():
                for field in dataclasses.fields(cls)}
     library |= set(inspect.signature(on_attractor_state).parameters)
     library |= set(inspect.signature(train_inferrer).parameters)
+    library |= set(inspect.signature(valid_time).parameters)
     assert set(ngrc.cli._RULES) & library == {"dt"}
+    # valid_time's threshold rule, which validate calls
+    with pytest.raises(ConfigError) as caught:
+        resolve_config({"task": "forecast-lorenz", "threshold": -0.5})
+    assert caught.value.messages == ["threshold must be nonnegative and finite, got -0.5"]
 
 
 def test_validate_accepts_exactly_the_components_that_train_inferrer_accepts(tmp_path):

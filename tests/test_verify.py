@@ -37,7 +37,7 @@ from ngrc import (
 )
 from ngrc._checks import ConfigError
 from ngrc.systems import double_scroll_uss_equation
-from ngrc.verify import _DEVIATION_ROWS, learned_map_residual
+from ngrc.verify import _DEVIATION_ENTRIES, learned_map_residual
 
 FORECAST_RUN = Path(__file__).resolve().parent.parent / "runs" / "forecast-lorenz"
 
@@ -487,13 +487,21 @@ def test_return_map_deviation_matches_the_full_table_bit_for_bit():
     assert (return_map_deviation(predicted, truth) == broadcast_deviation(predicted, truth)
             == summary["return_map"]["deviation"])
     rng = np.random.default_rng(14)
+    # a block holds as many predicted pairs as fit in _DEVIATION_ENTRIES
+    # entries of the 399 truth pairs; a truth map of more pairs than that
+    # makes every block one row
     truth = ReturnMap(rng.normal(30.0, 5.0, 400))
-    for n_pairs in (1, _DEVIATION_ROWS - 1, _DEVIATION_ROWS, _DEVIATION_ROWS + 1,
-                    3 * _DEVIATION_ROWS + 17):
+    block = _DEVIATION_ENTRIES // 399
+    for n_pairs in (1, block - 1, block, block + 1, 3 * block + 17):
         predicted = ReturnMap(rng.normal(30.0, 5.0, n_pairs + 1))
         assert return_map_deviation(predicted, truth) == broadcast_deviation(predicted, truth)
+    long_truth = ReturnMap(rng.normal(30.0, 5.0, _DEVIATION_ENTRIES + 50))
+    for n_pairs in (1, 2, 7):
+        short = ReturnMap(rng.normal(30.0, 5.0, n_pairs + 1))
+        assert (return_map_deviation(short, long_truth)
+                == broadcast_deviation(short, long_truth))
     with_nan = predicted.maxima.copy()
-    with_nan[_DEVIATION_ROWS + 5] = np.nan
+    with_nan[block + 5] = np.nan
     assert np.isnan(broadcast_deviation(ReturnMap(with_nan), truth))
     assert np.isnan(return_map_deviation(ReturnMap(with_nan), truth))
     assert np.isnan(return_map_deviation(truth, ReturnMap(with_nan)))
