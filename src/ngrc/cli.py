@@ -24,7 +24,7 @@ import numpy as np
 
 from . import baseline, verify
 from ._checks import ConfigError, NumericalError, count, number
-from .features import FeatureSpec, feature_length, feature_names
+from .features import FeatureSpec, feature_length, feature_names, window_samples
 from .model import (
     NgrcModel,
     forecast,
@@ -66,7 +66,6 @@ _FEATURE_KEYS = {
     "s": 1,
     "degrees": [2],
     "include_constant": True,
-    "constant_value": 1.0,
 }
 
 _FORECAST_KEYS = {
@@ -166,6 +165,29 @@ def _library_errors(config: ExperimentConfig, system: SystemDef) -> list[str]:
 _MAX_TRUTH_SAMPLES = 10**7
 
 
+# The fit holds its feature block, features x the samples of the largest window
+# that the task builds features for, and its Gram matrix, features x features,
+# whole, so the larger of the two has a ceiling far above every canonical task
+# (sweep-trainsize's 28 x 1,000 is the largest). 8 B an entry: 320 MB.
+_MAX_FIT_ENTRIES = 4 * 10**7
+_FIT_KEYS = ("k", "degrees", "include_constant", "observed", "train_points", "test_points",
+             "sizes")
+
+
+def _feature_count(spec: FeatureSpec, most: int) -> int:
+    """The length of ``spec``'s feature vector, or most + 1 if it is longer, counted
+    without the layout table: constant + d*k + C(d*k + p - 1, p) for each degree p.
+    For d*k >= 2 degree p adds more than p features, so no binomial is taken of a
+    degree above ``most``, which a huge degree would make slow."""
+    n = spec.n_linear
+    features = spec.include_constant + n
+    for p in spec.degrees:
+        if features > most:
+            break
+        features += 1 if n == 1 else math.comb(n + p - 1, p) if p <= most else most + 1
+    return min(features, most + 1)
+
+
 def _sample_count(time: float, dt: float) -> int | None:
     """The whole number of samples of ``dt`` nearest ``time``; None if it is infinite."""
     steps = time / dt
@@ -222,15 +244,21 @@ def resolve_config(raw: dict, source: str = "<config>") -> ExperimentConfig:
 
     # Rules across keys, once every key is valid on its own.
     if "degrees" in settings:
-        spec = config.feature_spec(system.dim)
+        spec = config.feature_spec(len(settings["observed"]) if "observed" in settings
+                                   else system.dim)
+        windows = [key for key in ("train_points", "test_points", "sizes") if key in settings]
         # Every window needs one full delay window per feature vector; a
         # forecaster also needs the sample after it as a target.
-        need = spec.warmup_index + (1 if "observed" in settings else 2)
-        for key in ("train_points", "test_points", "sizes"):
-            if key in settings and np.min(settings[key]) < need:
-                errors.append(f"{key}: need at least {need} samples for the "
-                              f"delay window of k={spec.k}, s={spec.s}, "
-                              f"got {settings[key]}")
+        errors += filter(None, (window_samples(key, int(np.min(settings[key])), spec,
+                                               target="observed" not in settings)
+                                for key in windows))
+        features = _feature_count(spec, math.isqrt(_MAX_FIT_ENTRIES))
+        window = max(int(np.max(settings[key])) for key in windows)
+        if features * max(features, window) > _MAX_FIT_ENTRIES:
+            keys = [key for key in _FIT_KEYS
+                    if key in settings and settings[key] != record.defaults[key]]
+            errors.append(f"{', '.join(keys)}: the fit's feature block and Gram matrix "
+                          f"must hold at most {_MAX_FIT_ENTRIES:,} entries")
     if "test_horizon" in settings and settings["nrmse_horizon"] > settings["test_horizon"]:
         errors.append(f"nrmse_horizon: must not exceed test_horizon={settings['test_horizon']!r}"
                       f", got {settings['nrmse_horizon']!r}")

@@ -11,11 +11,11 @@ with each degree block enumerated by the non-decreasing exponent tuples of
 against this ordering.
 
 One index table, cached as its read-only columns, decides that layout: row j
-lists the ``pmax`` entries of ``ext = [1.0, constant_value, lin...]`` whose
-product is feature j, where ``pmax`` is the highest degree and at least 2. The
-constant is ``(1, 0, ...)``, linear entry a is ``(2 + a, 0, ...)``, and each
-monomial is its exponent tuple shifted by 2 and padded with 0 (the 1.0). The
-feature count and names come from it too.
+lists the ``pmax`` entries of ``ext = [1.0, 1.0, lin...]`` whose product is
+feature j, where ``pmax`` is the highest degree and at least 2. Entry 0 pads
+a row and entry 1 is the constant feature: the constant is ``(1, 0, ...)``,
+linear entry a is ``(2 + a, 0, ...)``, and each monomial is its exponent tuple
+shifted by 2 and padded with 0. The feature count and names come from it too.
 
 One loop builds every feature: ``_multiply_columns`` multiplies the table's
 columns of ``ext`` left to right. :func:`total_features` maps one linear
@@ -33,7 +33,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from ._checks import integer, integers, number, reject
+from ._checks import integer, integers, reject
 from .timeseries import TimeSeries
 
 
@@ -51,8 +51,7 @@ class FeatureSpec:
         s: tap spacing in samples; (s - 1) samples are skipped between taps.
         degrees: polynomial degrees (each >= 2) included in the nonlinear
             block, stored sorted ascending.
-        include_constant: whether the constant feature is present.
-        constant_value: value of the constant feature when present.
+        include_constant: whether the constant feature, 1, is present.
     """
 
     d: int
@@ -60,7 +59,6 @@ class FeatureSpec:
     s: int = 1
     degrees: tuple[int, ...] = ()
     include_constant: bool = True
-    constant_value: float = 1.0
 
     def __post_init__(self):
         # a count read from JSON must not be truncated to an integer
@@ -68,7 +66,6 @@ class FeatureSpec:
         reject(integer("d", self.d, 1), integer("k", self.k, 1), integer("s", self.s, 1),
                integers("degrees", degrees, 2)
                or (len(set(degrees)) < len(degrees) and f"duplicate degrees in {degrees}"),
-               number("constant_value", self.constant_value),
                # True == 1, so a test of membership in (True, False) would pass 1
                not isinstance(self.include_constant, bool)
                and f"include_constant must be true or false, got {self.include_constant!r}")
@@ -84,6 +81,15 @@ class FeatureSpec:
     def warmup_index(self) -> int:
         """First sample index with a fully populated delay window."""
         return (self.k - 1) * self.s
+
+
+def window_samples(name: str, n_samples: int, spec: FeatureSpec, target: bool = False):
+    """Enough samples for one full delay window of ``spec``, and for the sample
+    after it if ``target``; None if so, else a message naming ``name``."""
+    need = spec.warmup_index + 1 + target
+    return None if n_samples >= need else (
+        f"{name} too short: {n_samples} samples, need at least {need} for the delay window "
+        f"of k={spec.k}, s={spec.s}{' and its target' * target}")
 
 
 @lru_cache(maxsize=128)
@@ -138,7 +144,7 @@ def total_features(lin: np.ndarray, spec: FeatureSpec) -> np.ndarray:
 def _extended(spec: FeatureSpec, shape: tuple, dtype=float) -> np.ndarray:
     """An ``ext`` for blocks of trailing ``shape``, its linear rows left unset."""
     ext = np.empty((spec.n_linear + 2, *shape), dtype)
-    ext[0], ext[1] = 1.0, spec.constant_value
+    ext[:2] = 1.0
     return ext
 
 

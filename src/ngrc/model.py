@@ -23,12 +23,13 @@ from .features import (
     feature_length,
     feature_writer,
     total_features,  # noqa: F401  (benchmarks trace features through ngrc.model)
+    window_samples,
 )
 from ._checks import ConfigError, integer, integers, reject, trusted
 from .regression import ReadoutMatrix, TrainingBlock, ridge_fit
 from .timeseries import TimeSeries
 
-SERIAL_FORMAT_VERSION = 1
+SERIAL_FORMAT_VERSION = 2
 
 
 class Mode(enum.Enum):
@@ -70,14 +71,9 @@ class NgrcModel:
 
 
 def _training_indices(spec: FeatureSpec, n_samples: int, need_target: bool) -> np.ndarray:
-    first = spec.warmup_index
-    last = n_samples - 1 - int(need_target)
-    if last < first:
-        raise ValueError(
-            f"series too short: {n_samples} samples, need at least "
-            f"{first + 1 + int(need_target)} for this spec"
-        )
-    return np.arange(first, last + 1)
+    if problem := window_samples("series", n_samples, spec, need_target):
+        raise ValueError(problem)
+    return np.arange(spec.warmup_index, n_samples - need_target)
 
 
 def train_forecaster(series: TimeSeries, spec: FeatureSpec, alpha: float) -> NgrcModel:
@@ -123,11 +119,9 @@ def forecast(model: NgrcModel, warmup: TimeSeries, n_steps: int) -> TimeSeries:
            integer("n_steps", n_steps, 1),
            warmup.n_components != spec.d
            and f"warm-up has {warmup.n_components} components but spec.d = {spec.d}")
+    if problem := window_samples("warm-up", warmup.n_samples, spec):
+        raise WarmupError(problem)
     depth = spec.warmup_index + 1
-    if warmup.n_samples < depth:
-        raise WarmupError(
-            f"warm-up needs at least (k-1)*s + 1 = {depth} samples, got {warmup.n_samples}"
-        )
     # Warm-up and predictions share one buffer, oldest first. The taps of the
     # step that writes row i are rows i - 1 - js of it, newest first: rows
     # end - i + js of its reversal, where end is the buffer's length.

@@ -28,8 +28,15 @@ class ReadoutMatrix:
     alpha: float
 
     def __post_init__(self):
-        weights = np.array(self.weights, dtype=float, order="C", ndmin=2)
-        reject(entries("weights", weights), number("alpha", self.alpha, 0.0))
+        try:  # a 1-D array is one row
+            weights = np.array(self.weights, order="C", ndmin=2)
+            got = f"a {weights.ndim}-D array of {weights.dtype}"
+        except ValueError:
+            weights, got = None, "rows of unequal lengths"
+        reject((weights is None or weights.ndim != 2 or weights.dtype.kind not in "iuf")
+               and f"weights must be a 2-D array of numbers, got {got}"
+               or entries("weights", weights), number("alpha", self.alpha, 0.0))
+        weights = weights.astype(float, copy=False)
         weights.setflags(write=False)
         object.__setattr__(self, "weights", weights)
 

@@ -495,7 +495,8 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
     ``noise_rms`` per unit time, and noise_rms = 0 degenerates to a
     deterministic fixed-step run.
 
-    Returns one series per path, all started from ``config.initial_state``.
+    Returns one series per path, all started from ``config.initial_state``;
+    their values are read-only consecutive blocks of one array, not copies.
     Path i draws its forcing, substep by substep, from a generator seeded by
     child i of ``SeedSequence(config.seed)``, so it does not depend on how
     many paths are run alongside it. The paths are stepped together as one
@@ -518,8 +519,9 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
     draws = (config.substeps, system.dim)
     rhs = system.rhs
     state = np.repeat(config.initial_state[:, None], paths, axis=1)
-    values = np.empty((len(grid), system.dim, paths))
-    values[0] = state
+    # one (n, dim) block per path, handed out as it is: no path is copied
+    values = np.empty((paths, len(grid), system.dim))
+    values[:, 0] = state.T
     # A diverging path overflows to inf/nan on its way out; that is reported
     # below as IntegrationError, so the arithmetic itself must not warn.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -530,14 +532,15 @@ def integrate_noisy(system: SystemDef, config: IntegrationConfig,
                 k1 = rhs(state) + xi
                 k2 = rhs(state + h * k1) + xi
                 state = state + 0.5 * h * (k1 + k2)
-            values[m] = state
+            values[:, m] = state.T
             diverged = np.flatnonzero(~np.isfinite(state).all(axis=0))
             if diverged.size:
                 raise IntegrationError(
                     f"noisy path {diverged[0]} of {system.name} is not finite "
                     f"at t = {grid[m]:g}")
-    return [TimeSeries(dt=config.dt, values=values[:, :, i], t0=float(grid[0]))
-            for i in range(paths)]
+    values.setflags(write=False)
+    return [trusted(TimeSeries, dt=config.dt, values=path, t0=float(grid[0]))
+            for path in values]
 
 
 def transient_config(system: SystemDef, transient_time: float, rtol: float, atol: float,

@@ -25,6 +25,7 @@ from ngrc import (
     TrainingBlock,
     double_scroll,
     estimate_cost,
+    feature_length,
     feature_names,
     forecast,
     load_model,
@@ -192,7 +193,9 @@ def test_resolve_config_type_strictness(tmp_path):
          "return_map_window"),
         # non-finite numbers (JSON's 1e400 parses as inf) pass every > / >= rule
         ({"task": "forecast-doublescroll", "transient_time": 1e400}, "transient_time"),
-        ({"task": "forecast-lorenz", "constant_value": float("inf")}, "constant_value"),
+        # the constant feature is 1; a config written when it was a key is refused
+        ({"task": "forecast-lorenz", "constant_value": 1.0},
+         "^constant_value: unknown key for task forecast-lorenz$"),
         ({"task": "forecast-lorenz", "dt": 1e400}, "dt: expected a finite number"),
         # a subnormal dt overflows every count of samples per time unit
         ({"task": "forecast-lorenz", "dt": 5e-324}, "dt: must be positive with a finite"),
@@ -678,11 +681,14 @@ def test_main_reports_a_diverging_noisy_ensemble_as_numerical(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("error")
-def test_main_reports_an_overflowing_readout_as_numerical(tmp_path, capsys):
-    # a finite constant feature whose square in the Gram matrix overflows; every
+def test_main_reports_an_overflowing_readout_as_numerical(tmp_path, capsys, monkeypatch):
+    # finite training data whose products in the Gram matrix overflow; every
     # runner fits through the one window routine, under the one stage 'train'
+    fit = ngrc.cli.train_forecaster
+    monkeypatch.setattr(ngrc.cli, "train_forecaster", lambda series, spec, alpha: fit(
+        TimeSeries(series.dt, series.values * 1e80, series.t0), spec, alpha))
     for task in ("forecast-lorenz", "sweep-trainsize", "noise-lorenz"):
-        config = write_config(tmp_path, {"task": task, "constant_value": 1e160}, f"{task}.json")
+        config = write_config(tmp_path, {"task": task}, f"{task}.json")
         assert main(["validate", config, "--quiet"]) == 0
         assert main(["run", config, "--out", str(tmp_path / task), "--quiet"]) == 3
         err = capsys.readouterr().err
@@ -702,8 +708,6 @@ _LIBRARY_KEYS = {
     "k": ("forecast-lorenz", lambda v: FeatureSpec(d=3, k=v, degrees=(2,))),
     "s": ("forecast-lorenz", lambda v: FeatureSpec(d=3, k=2, s=v, degrees=(2,))),
     "degrees": ("forecast-lorenz", lambda v: FeatureSpec(d=3, k=2, degrees=tuple(v))),
-    "constant_value": ("forecast-lorenz",
-                       lambda v: FeatureSpec(d=3, k=2, degrees=(2,), constant_value=v)),
     "alpha": ("forecast-lorenz", lambda v: ridge_fit(TrainingBlock(np.eye(2), np.eye(2)), v)),
     "transient_time": ("forecast-doublescroll",
                        lambda v: transient_config(double_scroll(), v, 1e-3, 1e-6, "RK23")),
@@ -731,12 +735,46 @@ def test_validate_rejects_exactly_what_the_library_rejects(tmp_path):
             config = write_config(tmp_path, {"task": task, key: value}, f"{cases}.json")
             assert (main(["validate", config, "--quiet"]) == 0) == runs, (key, value)
             cases += 1
-    assert cases == 94
+    assert cases == 83
     # two bad fields of one object are both reported, each by name
     with pytest.raises(ConfigError) as exc:
         resolve_config({"task": "forecast-lorenz", "rtol": -1, "atol": -1})
     assert len(exc.value.messages) == 2
     assert "rtol" in exc.value.messages[0] and "atol" in exc.value.messages[1]
+
+
+def test_feature_keys_are_the_fields_of_the_spec():
+    # d comes from the system or the observed components; every other field
+    # of the spec is a feature key, and no feature key is anything else
+    fields = {field.name for field in dataclasses.fields(FeatureSpec)}
+    assert set(ngrc.cli._FEATURE_KEYS) == fields - {"d"}
+
+
+def test_validate_caps_the_fit_at_its_feature_block_and_gram_matrix(tmp_path, capsys):
+    # validate only: each of these would allocate gigabytes in its run
+    cases = [
+        # 53,137 features: a Gram matrix of 21 GiB
+        ({"task": "forecast-lorenz", "degrees": [20]}, "degrees"),
+        # 62 features of 9,000,000 samples: a feature block of 4.2 GiB
+        ({"task": "forecast-doublescroll", "uss_segments": 1, "train_points": 9000000},
+         "train_points"),
+        ({"task": "infer-lorenz", "k": 200, "s": 1}, "k"),
+        ({"task": "sweep-trainsize", "k": 4, "degrees": [2, 3, 4], "segments": 1,
+          "sizes": [100, 30000]}, "k, degrees, sizes"),
+        # counted without the binomial of a huge degree
+        ({"task": "noise-lorenz", "degrees": [2, 10**400]}, "degrees"),
+    ]
+    for i, (doc, keys) in enumerate(cases):
+        assert main(["validate", write_config(tmp_path, doc, f"{i}.json"), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {keys}: the fit's feature block and Gram matrix must hold "
+            "at most 40,000,000 entries\n")
+    # the count by formula is the layout's count
+    for task, record in TASKS.items():
+        if "degrees" in record.defaults:
+            d = len(record.defaults.get("observed", ())) or record.system().dim
+            spec = resolve_config({"task": task}).feature_spec(d)
+            assert ngrc.cli._feature_count(spec, 6324) == feature_length(spec)
 
 
 def test_cli_rules_leave_library_parameters_to_the_library():

@@ -113,13 +113,6 @@ def test_total_features_cubic_no_constant():
     assert np.array_equal(total_features(window, spec), np.array([2.0, 8.0]))
 
 
-def test_constant_value_propagates():
-    spec = FeatureSpec(d=1, k=1, s=1, degrees=(), include_constant=True,
-                       constant_value=0.5)
-    window = np.array([7.0])
-    assert np.array_equal(total_features(window, spec), np.array([0.5, 7.0]))
-
-
 def test_linear_features_concatenate_taps():
     values = np.arange(12, dtype=float).reshape(6, 2)
     series = TimeSeries(dt=0.5, values=values)
@@ -251,7 +244,7 @@ def test_feature_names_shape_and_uniqueness():
 
 def reference_features(lin, spec):
     """The feature vector from explicit products, without the kernel's table."""
-    features = [spec.constant_value] if spec.include_constant else []
+    features = [1.0] if spec.include_constant else []
     features += [float(v) for v in lin]
     for p in spec.degrees:
         for combo in combinations_with_replacement(range(spec.n_linear), p):
@@ -259,13 +252,7 @@ def reference_features(lin, spec):
     return np.array(features)
 
 
-@st.composite
-def valued_specs(draw):
-    constant = draw(st.floats(-1e3, 1e3, allow_nan=False))
-    return replace(draw(specs()), constant_value=constant)
-
-
-@given(spec=valued_specs(), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@given(spec=specs(), n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_total_features_matches_explicit_products(spec, n, seed):
     block = np.random.default_rng(seed).uniform(-3.0, 3.0, size=(spec.n_linear, n))
     expected = np.column_stack([reference_features(block[:, j], spec) for j in range(n)])
@@ -273,11 +260,11 @@ def test_total_features_matches_explicit_products(spec, n, seed):
     assert np.array_equal(total_features(block, spec), expected)
 
 
-@given(spec=valued_specs(), seed=st.integers(0, 2**32 - 1))
+@given(spec=specs(), seed=st.integers(0, 2**32 - 1))
 def test_feature_names_name_the_factors_of_each_value(spec, seed):
     lin = np.random.default_rng(seed).uniform(-3.0, 3.0, size=spec.n_linear)
     # label of each linear entry: component c delayed by j*s samples
-    value_of = {"const": spec.constant_value}
+    value_of = {"const": 1.0}
     for j in range(spec.k):
         for c in range(spec.d):
             value_of[f"x{c}[t]" if j == 0 else f"x{c}[t-{j * spec.s}]"] = lin[j * spec.d + c]
@@ -315,9 +302,6 @@ def test_spec_validation_errors():
                 FeatureSpec(**{**dict(d=3, k=2, s=1, degrees=(2,)), name: value})
         with pytest.raises(ValueError, match="degrees must be integers"):
             FeatureSpec(d=3, k=2, s=1, degrees=(2, value))
-        # from_document feeds a hand-edited model.json straight in
-        with pytest.raises(ValueError, match="constant_value must be finite"):
-            FeatureSpec(d=3, k=2, s=1, degrees=(2,), constant_value=value)
     spec = FeatureSpec(d=3.0, k=2.0, s=1.0, degrees=(2,))
     assert (spec.d, spec.k, spec.s) == (3, 2, 1) and type(spec.k) is int
     doc = to_document(NgrcModel(spec=FeatureSpec(d=1, k=2, s=1, degrees=(2,)),

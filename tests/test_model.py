@@ -160,6 +160,10 @@ def test_from_document_rejects_unknown_format(lorenz_task):
     doc["format_version"] = 99
     with pytest.raises(ValueError, match="format version"):
         from_document(doc)
+    # format 1 held the constant feature's value, which is now always 1
+    doc["format_version"] = 1
+    with pytest.raises(ValueError, match="^unsupported model format version 1$"):
+        from_document(doc)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -196,6 +200,10 @@ def test_from_document_rejects_malformed_documents(lorenz_task):
                        ([doc], "JSON object"), ({**doc, "metadata": [1]}, "metadata"),
                        ({**doc, "input_indices": 3}, "input_indices"),
                        ({**doc, "weights": {"w": 1}}, "weights"),
+                       ({**doc, "weights": [[[0.0] * 28]] * 3}, "weights must be a 2-D"),
+                       ({**doc, "weights": [[0.0] * 28, [0.0] * 27, [0.0] * 28]},
+                        "weights must be a 2-D"),
+                       ({**doc, "weights": [["0"] * 28] * 3}, "weights must be a 2-D"),
                        ({**doc, "k": "2"}, "k must be an integer"),
                        ({**doc, "alpha": "x"}, "alpha")):
         with pytest.raises(ConfigError, match=field):

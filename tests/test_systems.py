@@ -157,6 +157,27 @@ def test_integrate_holds_only_its_grid_and_its_values(method, rtol, atol):
     assert not values.flags.writeable and values.flags.c_contiguous
 
 
+def test_integrate_noisy_holds_only_its_grid_and_its_values():
+    # The ensemble steps into one (paths, n, 3) block and hands each path out
+    # as a view of it, plus buffers of a fixed size (one interval's forcing).
+    # A copy of each path would double the peak: 960 kB more here.
+    config = IntegrationConfig(dt=0.025, t_span=(0.0, 100.0), initial_state=np.ones(3),
+                               noise_rms=1.0, substeps=2, seed=0)
+    grid = config.grid()
+    # the first draws in a process allocate numpy.random's own state
+    integrate_noisy(lorenz63(), dataclasses.replace(config, t_span=(0.0, 0.025)))
+    tracemalloc.start()
+    try:
+        runs = integrate_noisy(lorenz63(), config, paths=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [run.values.shape for run in runs] == [(4001, 3)] * 10
+    assert peak <= sum(run.values.nbytes for run in runs) + grid.nbytes + 64 * 2**10
+    assert all(not run.values.flags.writeable and run.values.flags.c_contiguous
+               for run in runs)
+
+
 def test_integrate_converges_under_tolerance_halving():
     system = lorenz63()
     x0 = np.array([-5.0, 4.0, 25.0])
